@@ -1,9 +1,9 @@
 use crate::checkpoint::Checkpoint;
-use crate::faults::FaultInjector;
 use crate::runtime::{RunContext, RuntimeError};
-use crate::{MaarSolver, RejectoConfig};
-use kl::{CancelReason, CancelToken, KParam};
+use crate::{MaarSolver, RejectoConfig, SweepOutcome};
+use kl::KParam;
 use rejection::{AugmentedGraph, NodeId};
+use std::convert::Infallible;
 use std::io;
 
 /// Manually inspected ground-truth users the OSN provider supplies
@@ -174,6 +174,18 @@ impl DetectionReport {
 /// never the detection itself.
 pub type CheckpointSink<'a> = &'a mut dyn FnMut(&Checkpoint) -> io::Result<()>;
 
+/// One pruning round's MAAR solve on a residual graph, with seeds already
+/// mapped into its ids: the pruning loop's only view of where the sweep
+/// runs. [`IterativeDetector`] solves on the worker pool; the §V cluster
+/// (`dataflow`) shards each residual graph onto a fresh cluster.
+pub type RoundSolver<'r, E> = dyn FnMut(
+        &AugmentedGraph,
+        &[NodeId],
+        &[NodeId],
+        &RunContext,
+    ) -> Result<SweepOutcome, E>
+    + 'r;
+
 /// Mid-run loop state: the report so far, the residual graph, and its
 /// mapping back to original ids. Built fresh for a new run or rebuilt from
 /// a [`Checkpoint`] for a resume.
@@ -247,7 +259,7 @@ impl IterativeDetector {
         seeds: &Seeds,
         termination: Termination,
     ) -> DetectionReport {
-        self.run_loop(g, seeds, termination, LoopState::fresh(g), None)
+        self.run_pooled(g, seeds, termination, None, None)
     }
 
     /// [`IterativeDetector::detect`], calling `sink` with a [`Checkpoint`]
@@ -263,7 +275,7 @@ impl IterativeDetector {
         termination: Termination,
         sink: CheckpointSink<'_>,
     ) -> DetectionReport {
-        self.run_loop(g, seeds, termination, LoopState::fresh(g), Some(sink))
+        self.run_pooled(g, seeds, termination, None, Some(sink))
     }
 
     /// Continues a run from `checkpoint`, exactly as if the original run
@@ -286,8 +298,7 @@ impl IterativeDetector {
         termination: Termination,
         checkpoint: &Checkpoint,
     ) -> Result<DetectionReport, RuntimeError> {
-        checkpoint.validate_against(g)?;
-        Ok(self.run_loop(g, seeds, termination, LoopState::from_checkpoint(g, checkpoint), None))
+        self.run(g, seeds, termination, Some(checkpoint), None)
     }
 
     /// [`IterativeDetector::resume`] with checkpointing of the continued
@@ -309,29 +320,88 @@ impl IterativeDetector {
         checkpoint: &Checkpoint,
         sink: CheckpointSink<'_>,
     ) -> Result<DetectionReport, RuntimeError> {
-        checkpoint.validate_against(g)?;
-        Ok(self.run_loop(
-            g,
-            seeds,
-            termination,
-            LoopState::from_checkpoint(g, checkpoint),
-            Some(sink),
-        ))
+        self.run(g, seeds, termination, Some(checkpoint), Some(sink))
     }
 
-    /// The pruning loop. The clean-path statement order is exactly the
-    /// pre-budget implementation's — budget checks only *add* exits at
-    /// round boundaries — which is what keeps unbudgeted runs byte-
-    /// identical across this refactor and resumed runs byte-identical to
-    /// uninterrupted ones.
-    fn run_loop(
+    /// Any of the detect/resume × with/without-checkpoints modes: resumes
+    /// from `resume_from` when given and checkpoints every completed round
+    /// into `sink` when given.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::CheckpointMismatch`] (and friends) when
+    /// `resume_from` does not describe `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any seed id is out of range of `g`.
+    pub fn run(
         &self,
         g: &AugmentedGraph,
         seeds: &Seeds,
         termination: Termination,
-        state: LoopState,
-        mut sink: Option<CheckpointSink<'_>>,
+        resume_from: Option<&Checkpoint>,
+        sink: Option<CheckpointSink<'_>>,
+    ) -> Result<DetectionReport, RuntimeError> {
+        if let Some(checkpoint) = resume_from {
+            checkpoint.validate_against(g)?;
+        }
+        Ok(self.run_pooled(g, seeds, termination, resume_from, sink))
+    }
+
+    /// The pruning loop with every round solved on the worker pool.
+    fn run_pooled(
+        &self,
+        g: &AugmentedGraph,
+        seeds: &Seeds,
+        termination: Termination,
+        resume_from: Option<&Checkpoint>,
+        sink: Option<CheckpointSink<'_>>,
     ) -> DetectionReport {
+        let mut solve =
+            |current: &AugmentedGraph, legit: &[NodeId], spammer: &[NodeId], ctx: &RunContext| {
+                Ok::<_, Infallible>(self.solver.solve_monitored(current, legit, spammer, ctx))
+            };
+        match self.run_rounds(g, seeds, termination, resume_from, sink, &mut solve) {
+            Ok(report) => report,
+            Err(never) => match never {},
+        }
+    }
+
+    /// The pruning loop (§IV-E) over any round solver: budgets, resource
+    /// rollback, checkpoint sink and fault injection, with each round's
+    /// MAAR solve delegated to `solve_round`. Starts fresh, or from
+    /// `resume_from` exactly as if the run that wrote it had never stopped.
+    /// Budgets and fault schedules are armed once per run, so each
+    /// schedule fires at most once however the rounds are solved.
+    ///
+    /// The clean-path statement order is exactly the pre-budget
+    /// implementation's — budget checks only *add* exits at round
+    /// boundaries — which keeps resumed runs byte-identical to
+    /// uninterrupted ones.
+    ///
+    /// # Errors
+    ///
+    /// The first error `solve_round` returns; the run stops there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any seed id is out of range of `g`, or if `resume_from`
+    /// does not describe `g` (callers check
+    /// [`Checkpoint::validate_against`] first).
+    pub fn run_rounds<E>(
+        &self,
+        g: &AugmentedGraph,
+        seeds: &Seeds,
+        termination: Termination,
+        resume_from: Option<&Checkpoint>,
+        mut sink: Option<CheckpointSink<'_>>,
+        solve_round: &mut RoundSolver<'_, E>,
+    ) -> Result<DetectionReport, E> {
+        let state = match resume_from {
+            Some(ckpt) => LoopState::from_checkpoint(g, ckpt),
+            None => LoopState::fresh(g),
+        };
         let LoopState { mut report, mut current, mut to_original } = state;
         let config = self.solver.config();
         let max_rounds = config.max_rounds;
@@ -347,24 +417,7 @@ impl IterativeDetector {
             Termination::BudgetOrThreshold { threshold, .. } => Some(threshold),
         };
 
-        let token = CancelToken::new();
-        let injector = FaultInjector::new(&config.faults);
-        if let Some(deadline) = config.budget.deadline {
-            token.set_deadline_in(deadline);
-        }
-        if let Some(deadline) = injector.deadline() {
-            // The token keeps the tighter of the two deadlines.
-            token.set_deadline_in(deadline);
-        }
-        if let Some(passes) = config.budget.max_kl_passes {
-            token.set_pass_budget(passes);
-        }
-        let mut ctx = RunContext {
-            token: token.clone(),
-            injector: injector.clone(),
-            round: 0,
-            obs: self.obs.clone(),
-        };
+        let mut ctx = RunContext::armed(config, self.obs.clone());
         let mut completion = Completion::Complete;
         let _detect_span = self.obs.as_ref().map(|o| o.span("detect"));
 
@@ -379,11 +432,11 @@ impl IterativeDetector {
                     break;
                 }
             }
-            if token.is_cancelled() {
+            if ctx.token.is_cancelled() {
                 completion = Completion::Partial {
                     completed_rounds: report.rounds,
                     completed_k_indices: Vec::new(),
-                    reason: interrupt_reason(&token),
+                    reason: ctx.interrupt_reason(),
                 };
                 break;
             }
@@ -413,7 +466,7 @@ impl IterativeDetector {
 
             ctx.round = report.rounds;
             let _round_span = self.obs.as_ref().map(|o| o.span("detect/round"));
-            let outcome = self.solver.solve_monitored(&current, &legit, &spammer, &ctx);
+            let outcome = solve_round(&current, &legit, &spammer, &ctx)?;
             report.failures.extend(outcome.failures);
             if outcome.interrupted {
                 // The round did not finish; it does not count, and the
@@ -422,7 +475,7 @@ impl IterativeDetector {
                 completion = Completion::Partial {
                     completed_rounds: report.rounds,
                     completed_k_indices: outcome.completed_k_indices,
-                    reason: interrupt_reason(&token),
+                    reason: ctx.interrupt_reason(),
                 };
                 break;
             }
@@ -502,7 +555,7 @@ impl IterativeDetector {
                         .expect("checkpoint size fits in u64");
                     obs.record("detect/checkpoint_bytes", bytes);
                 }
-                let result = if injector.should_fail_checkpoint(report.rounds) {
+                let result = if ctx.injector.should_fail_checkpoint(report.rounds) {
                     Err(io::Error::other("injected checkpoint I/O error"))
                 } else {
                     write(&ckpt)
@@ -516,19 +569,10 @@ impl IterativeDetector {
             }
         }
         if let Some(obs) = &self.obs {
-            obs.volatile_incr("cancel/polls", token.polls());
+            obs.volatile_incr("cancel/polls", ctx.token.polls());
         }
         report.completion = completion;
-        report
-    }
-}
-
-/// Maps the token's trip cause onto the report vocabulary.
-fn interrupt_reason(token: &CancelToken) -> InterruptReason {
-    match token.reason() {
-        Some(CancelReason::Deadline) => InterruptReason::Deadline,
-        Some(CancelReason::PassBudget) => InterruptReason::PassBudget,
-        _ => InterruptReason::Cancelled,
+        Ok(report)
     }
 }
 

@@ -1,17 +1,18 @@
 //! Debug-build invariant checkers for the detection pipeline, compiled only
 //! under the `debug-invariants` feature.
 //!
-//! Two bookkeeping schemes in this crate are incremental and therefore
-//! corruptible by a wrong delta: [`rejection::Partition`] maintains its
-//! cross-edge counters through `switch`, and
-//! [`crate::IterativeDetector::detect`] accumulates disjoint spammer groups
+//! Two bookkeeping schemes are incremental and therefore corruptible by a
+//! wrong delta: a [`rejection::Partition`]'s cross-edge counters (kept
+//! through `switch`, or committed move by move by extended KL), and the
+//! disjoint spammer groups [`crate::IterativeDetector::detect`] accumulates
 //! across pruning rounds. The checkers here re-derive both from scratch and
-//! panic on the first disagreement. They are wired into [`crate::MaarSolver`]
-//! and the pruning loop, and public so tests (and `cargo xtask check`'s
+//! panic on the first disagreement. The report checker is wired into the
+//! pruning loop (extended KL checks its own committed counters through its
+//! adjacency source); both are public so tests (and `cargo xtask check`'s
 //! determinism harness) can apply them to arbitrary outputs.
 
 use crate::DetectionReport;
-use rejection::{AugmentedGraph, Partition, Region};
+use rejection::{AugmentedGraph, Partition};
 
 /// Re-derives a partition's incremental cut counters from the graph and
 /// asserts they match: coverage (`p` assigns a region to exactly the nodes
@@ -30,43 +31,27 @@ pub fn assert_partition_bookkeeping(g: &AugmentedGraph, p: &Partition) {
         p.len(),
         g.num_nodes()
     );
-    let suspects = g.nodes().filter(|&u| p.region(u) == Region::Suspect).count();
+    let fresh = Partition::from_regions(g, p.regions().to_vec());
     assert_eq!(
-        suspects,
         p.suspect_count(),
-        "suspect_count {} but {suspects} nodes are in the suspect region",
-        p.suspect_count()
+        fresh.suspect_count(),
+        "suspect_count {} but {} nodes are in the suspect region",
+        p.suspect_count(),
+        fresh.suspect_count()
     );
-
-    let mut cross_f = 0u64;
-    let mut cross_r = 0u64;
-    for u in g.nodes() {
-        for &v in g.friends(u) {
-            if u < v && p.region(u) != p.region(v) {
-                cross_f += 1;
-            }
-        }
-        // `u` rejected `v`: counts iff the rejector is Legit and the
-        // rejectee Suspect (the ⟨Ū, U⟩ direction of §IV-B).
-        if p.region(u) == Region::Legit {
-            for &v in g.rejected_by(u) {
-                if p.region(v) == Region::Suspect {
-                    cross_r += 1;
-                }
-            }
-        }
-    }
     assert_eq!(
         p.cross_friendships(),
-        cross_f,
-        "cross_friendships counter {} but {cross_f} friendships cross the cut",
-        p.cross_friendships()
+        fresh.cross_friendships(),
+        "cross_friendships counter {} but {} friendships cross the cut",
+        p.cross_friendships(),
+        fresh.cross_friendships()
     );
     assert_eq!(
         p.cross_rejections(),
-        cross_r,
-        "cross_rejections counter {} but {cross_r} rejections cross the cut",
-        p.cross_rejections()
+        fresh.cross_rejections(),
+        "cross_rejections counter {} but {} rejections cross the cut",
+        p.cross_rejections(),
+        fresh.cross_rejections()
     );
 }
 

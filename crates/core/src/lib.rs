@@ -56,15 +56,16 @@ pub use checkpoint::{Checkpoint, CheckpointGroup, CHECKPOINT_FORMAT, CHECKPOINT_
 pub use config::{InitialPlacement, RejectoConfig, RunBudget};
 pub use detect::{
     CheckpointSink, Completion, DetectedGroup, DetectionReport, InterruptReason,
-    IterativeDetector, Seeds, Termination,
+    IterativeDetector, RoundSolver, Seeds, Termination,
 };
 pub use faults::{ClusterFaults, Fault, FaultPlan, Mangle, StoreFaults};
 /// Re-exported so report consumers can name the exact rational sweep
 /// parameter [`DetectedGroup::k`] carries without depending on `kl`.
 pub use kl::KParam;
-pub use maar::{MaarCut, MaarSolver};
+pub use maar::{KJob, KResult, MaarCut, MaarSolver, SweepBackend, SweepOutcome};
+pub use pool::JobOutcome;
 pub use resources::ResourceBudget;
-pub use runtime::RuntimeError;
+pub use runtime::{RunContext, RuntimeError};
 pub use store::{
     CheckpointStore, StoreError, StoreResume, DEFAULT_CHECKPOINT_KEEP,
 };

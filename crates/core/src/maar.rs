@@ -1,9 +1,10 @@
 use crate::faults::trigger_injected_panic;
+use crate::pool::JobOutcome;
 use crate::runtime::{RunContext, RuntimeError};
 use crate::{InitialPlacement, RejectoConfig};
-use kl::{ExtendedKl, ExtendedKlConfig, KParam};
-use rejection::{AugmentedGraph, NodeId, Partition, Region};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use kl::{AdjacencySource, ExtendedKl, ExtendedKlConfig, KParam};
+use rejection::{AugmentedGraph, Degrees, NodeId, Partition, Region};
+use std::convert::Infallible;
 
 /// A minimum-aggregate-acceptance-rate cut found by [`MaarSolver`].
 #[derive(Debug, Clone)]
@@ -23,8 +24,9 @@ impl MaarCut {
     }
 }
 
-/// What one sweep worker produced for its `k`.
-enum KResult {
+/// What one `k` of a sweep produced.
+#[derive(Debug)]
+pub enum KResult {
     /// A converged, admissible cut.
     Cut(MaarCut),
     /// Converged, but the cut was degenerate or inadmissible.
@@ -35,22 +37,110 @@ enum KResult {
     Interrupted,
 }
 
+/// The per-`k` job a sweep backend runs: sweep index in, result out, the
+/// graph read through the backend's adjacency source.
+pub type KJob<'j, S> =
+    dyn Fn(&S, usize) -> Result<KResult, <S as AdjacencySource>::Error> + Sync + 'j;
+
+/// Where a sweep's extended-KL runs execute. The sweep itself — warm
+/// start, suspect cap, admissibility, reduction and fallback — is
+/// [`MaarSolver::solve_with`]; a backend only supplies the graph and runs
+/// the per-`k` jobs. The in-process backend runs them on the worker pool
+/// over an [`AugmentedGraph`]; the §V cluster (`dataflow`) runs them on
+/// the master against worker-held shards.
+pub trait SweepBackend {
+    /// A failed graph read.
+    type Error;
+    /// The adjacency source every `k`'s extended-KL run reads through.
+    type Source: AdjacencySource<Error = Self::Error>;
+
+    /// Per-node degrees of the graph, read once at the start of every
+    /// sweep (the warm start ranks nodes by rejection ratio).
+    ///
+    /// # Errors
+    ///
+    /// When the degrees cannot be read.
+    fn degrees(&mut self) -> Result<Vec<Degrees>, Self::Error>;
+
+    /// Runs `job` for every sweep index in `0..jobs` and returns the
+    /// outcomes slotted by index. Once `ctx`'s token trips, unstarted jobs
+    /// are [`JobOutcome::Skipped`]. `degrees` is what [`Self::degrees`]
+    /// returned for this sweep.
+    ///
+    /// # Errors
+    ///
+    /// The first graph-read failure; the sweep is abandoned.
+    fn run_ks(
+        &mut self,
+        degrees: Vec<Degrees>,
+        jobs: usize,
+        ctx: &RunContext,
+        job: &KJob<'_, Self::Source>,
+    ) -> Result<Vec<JobOutcome<KResult>>, Self::Error>;
+}
+
 /// Everything one monitored sweep (or its warm-start fallback pair)
 /// produced, for the pruning loop's bookkeeping.
 #[derive(Debug)]
-pub(crate) struct SweepOutcome {
+pub struct SweepOutcome {
     /// The winning cut, when the sweep ran to completion and found one.
-    pub(crate) cut: Option<MaarCut>,
-    /// Sweep indices whose workers ran to convergence (including
-    /// successfully retried ones), ascending. On interruption this is the
-    /// progress record a `Partial` report carries.
-    pub(crate) completed_k_indices: Vec<usize>,
+    pub cut: Option<MaarCut>,
+    /// Sweep indices whose runs converged (including successfully retried
+    /// ones), ascending. On interruption this is the progress record a
+    /// `Partial` report carries.
+    pub completed_k_indices: Vec<usize>,
     /// Persistent per-`k` failures: the worker panicked *and* its
     /// deterministic serial retry panicked again, so the index was skipped.
-    pub(crate) failures: Vec<RuntimeError>,
+    pub failures: Vec<RuntimeError>,
     /// Whether the cancel token stopped the sweep before every `k`
     /// converged. When set, `cut` is `None`.
-    pub(crate) interrupted: bool,
+    pub interrupted: bool,
+}
+
+/// The in-process backend: `k` runs on the fixed-size worker pool
+/// ([`crate::pool::run_indexed`]) over one shared immutable graph.
+struct PoolBackend<'g> {
+    g: &'g AugmentedGraph,
+    threads: usize,
+}
+
+impl SweepBackend for PoolBackend<'_> {
+    type Error = Infallible;
+    type Source = AugmentedGraph;
+
+    fn degrees(&mut self) -> Result<Vec<Degrees>, Infallible> {
+        Ok(self.g.nodes().map(|u| self.g.degrees(u)).collect())
+    }
+
+    /// Each run's result lands in its own sweep-index slot, so thread count
+    /// cannot change the reduction. Panicked slots are retried *serially in
+    /// index order*: a transient panic therefore yields the answer the
+    /// clean sweep would have produced, and only a panic that reproduces on
+    /// retry stays [`JobOutcome::Panicked`].
+    fn run_ks(
+        &mut self,
+        _: Vec<Degrees>,
+        jobs: usize,
+        ctx: &RunContext,
+        job: &KJob<'_, AugmentedGraph>,
+    ) -> Result<Vec<JobOutcome<KResult>>, Infallible> {
+        let solve_one = |i: usize| -> KResult {
+            if ctx.injector.should_panic(i) {
+                trigger_injected_panic(i);
+            }
+            match job(self.g, i) {
+                Ok(result) => result,
+                Err(never) => match never {},
+            }
+        };
+        let mut slots = crate::pool::run_indexed(self.threads, jobs, &ctx.token, solve_one);
+        for (i, slot) in slots.iter_mut().enumerate() {
+            if let JobOutcome::Panicked(_) = slot {
+                *slot = crate::pool::run_one(&solve_one, i);
+            }
+        }
+        Ok(slots)
+    }
 }
 
 /// Solves the MAAR problem on one augmented graph by sweeping `k` over a
@@ -94,10 +184,11 @@ impl MaarSolver {
         self.solve_monitored(g, legit_seeds, spammer_seeds, &RunContext::unmonitored()).cut
     }
 
-    /// [`MaarSolver::solve`] under a [`RunContext`]: the context's cancel
-    /// token can interrupt the sweep at KL pass boundaries, its injector
-    /// can detonate workers, and the outcome records per-`k` progress and
-    /// failures instead of panicking or silently skipping.
+    /// [`MaarSolver::solve`] under a [`RunContext`], on the worker pool:
+    /// the context's cancel token can interrupt the sweep at KL pass
+    /// boundaries, its injector can detonate workers, and the outcome
+    /// records per-`k` progress and failures instead of panicking or
+    /// silently skipping.
     pub(crate) fn solve_monitored(
         &self,
         g: &AugmentedGraph,
@@ -105,25 +196,49 @@ impl MaarSolver {
         spammer_seeds: &[NodeId],
         ctx: &RunContext,
     ) -> SweepOutcome {
-        let first = self.sweep(g, legit_seeds, spammer_seeds, self.config.initial_placement, ctx);
-        if first.cut.is_some()
-            || first.interrupted
-            || self.config.initial_placement == InitialPlacement::AllLegit
-        {
-            return first;
+        let mut backend = PoolBackend { g, threads: self.config.effective_threads() };
+        match self.solve_with(&mut backend, legit_seeds, spammer_seeds, ctx) {
+            Ok(outcome) => outcome,
+            Err(never) => match never {},
+        }
+    }
+
+    /// The monitored solve on any [`SweepBackend`]: the primary sweep from
+    /// the configured placement, then — when the warm start found nothing
+    /// — the all-legit fallback sweep. Seed ids are in the backend's graph.
+    ///
+    /// # Errors
+    ///
+    /// The backend's first graph-read failure.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any seed id is out of range.
+    pub fn solve_with<B: SweepBackend>(
+        &self,
+        backend: &mut B,
+        legit_seeds: &[NodeId],
+        spammer_seeds: &[NodeId],
+        ctx: &RunContext,
+    ) -> Result<SweepOutcome, B::Error> {
+        let placement = self.config.initial_placement;
+        let first = self.sweep(backend, legit_seeds, spammer_seeds, placement, ctx)?;
+        if first.cut.is_some() || first.interrupted || placement == InitialPlacement::AllLegit {
+            return Ok(first);
         }
         // The warm start can steer every k toward a cut larger than the
         // admissible suspect region (KL optimizes unconstrained); fall back
         // to the all-legit start, whose best-prefix mechanism grows cuts
         // incrementally and stays small when small cuts suffice.
-        let mut fallback = self.sweep(g, legit_seeds, spammer_seeds, InitialPlacement::AllLegit, ctx);
+        let mut fallback =
+            self.sweep(backend, legit_seeds, spammer_seeds, InitialPlacement::AllLegit, ctx)?;
         // Failures from the primary sweep stay on the record: a skipped k
         // degrades the primary sweep's answer whether or not the fallback
         // ran cleanly.
         let mut failures = first.failures;
         failures.append(&mut fallback.failures);
         fallback.failures = failures;
-        fallback
+        Ok(fallback)
     }
 
     /// The largest admissible suspect-region size on an `n`-node residual
@@ -135,46 +250,31 @@ impl MaarSolver {
     }
 
     /// Sweeps every `k`, each an independent extended-KL run, and reduces
-    /// to the admissible cut with the lowest acceptance rate.
-    ///
-    /// The per-`k` runs execute on a fixed-size worker pool
-    /// ([`crate::pool::run_indexed`]) sized by
-    /// [`RejectoConfig::effective_threads`]; the graph is shared immutably
-    /// across workers and each run's result lands in its own sweep-index
-    /// slot. The reduction below then scans slots in sweep order and keeps
-    /// a candidate only when *strictly* better — exactly the serial loop's
-    /// tie-break (lowest acceptance rate, earliest sweep index wins) — so
-    /// thread count cannot change the winner.
-    ///
-    /// Panicked slots are retried *serially in index order* before the
-    /// reduction: a transient panic therefore yields the identical answer
-    /// the clean sweep would have produced, and only a panic that
-    /// reproduces on retry degrades the sweep (recorded as
-    /// [`RuntimeError::WorkerFailed`], slot skipped).
-    fn sweep(
+    /// to the admissible cut with the lowest acceptance rate. The reduction
+    /// scans slots in sweep order and keeps a candidate only when
+    /// *strictly* better — lowest acceptance rate, earliest sweep index
+    /// wins — so neither thread count nor deployment can change the winner.
+    fn sweep<B: SweepBackend>(
         &self,
-        g: &AugmentedGraph,
+        backend: &mut B,
         legit_seeds: &[NodeId],
         spammer_seeds: &[NodeId],
         placement: InitialPlacement,
         ctx: &RunContext,
-    ) -> SweepOutcome {
-        let cap = self.suspect_cap(g.num_nodes());
-        let ks = self.config.k_sweep();
+    ) -> Result<SweepOutcome, B::Error> {
         let _sweep_span = ctx.obs.as_ref().map(|o| o.span("detect/round/sweep"));
-        let solve_one = |i: usize| -> KResult {
-            if ctx.injector.should_panic(i) {
-                trigger_injected_panic(i);
-            }
-            // Opened only after the injection probe: a detonated worker
-            // must record nothing, so its deterministic serial retry leaves
-            // the metrics identical to a clean run's.
+        let degrees = backend.degrees()?;
+        let cap = self.suspect_cap(degrees.len());
+        let ks = self.config.k_sweep();
+        let init = self.initial_regions(&degrees, legit_seeds, spammer_seeds, placement, cap);
+        let job = |src: &B::Source, i: usize| -> Result<KResult, B::Error> {
+            // Opened inside the job: a detonated pool worker must record
+            // nothing, so its deterministic serial retry leaves the metrics
+            // identical to a clean run's.
             let _k_span = ctx.obs.as_ref().map(|o| o.span("detect/round/sweep/k_index"));
             let k = ks[i];
-            let mut kl = ExtendedKl::new(
-                g,
-                ExtendedKlConfig { k, max_passes: self.config.max_kl_passes },
-            );
+            let mut kl =
+                ExtendedKl::new(src, ExtendedKlConfig { k, max_passes: self.config.max_kl_passes });
             kl.set_cancel(ctx.token.clone());
             if let Some(obs) = &ctx.obs {
                 kl.set_obs(obs.clone());
@@ -182,119 +282,87 @@ impl MaarSolver {
             for &s in legit_seeds.iter().chain(spammer_seeds) {
                 kl.lock(s);
             }
-            let init = self.initial_partition(g, legit_seeds, spammer_seeds, placement);
-            let out = kl.run(init);
+            let out = kl.try_run(init.clone())?;
             if out.interrupted {
-                return KResult::Interrupted;
+                return Ok(KResult::Interrupted);
             }
             let p = out.partition;
-            #[cfg(feature = "debug-invariants")]
-            crate::invariants::assert_partition_bookkeeping(g, &p);
             if p.suspect_count() == 0 || p.suspect_count() > cap {
-                return KResult::NoCut;
+                return Ok(KResult::NoCut);
             }
-            match p.acceptance_rate() {
-                Some(ac) => {
-                    KResult::Cut(MaarCut { partition: p, acceptance_rate: ac, k })
-                }
+            Ok(match p.acceptance_rate() {
+                Some(ac) => KResult::Cut(MaarCut { partition: p, acceptance_rate: ac, k }),
                 None => KResult::NoCut,
-            }
+            })
         };
-        let threads = self.config.effective_threads();
-        let mut slots = crate::pool::run_indexed(threads, ks.len(), &ctx.token, solve_one);
-
-        // Deterministic serial retry of panicked slots, in index order. A
-        // retry that panics again records the failure and skips the index.
-        let mut failures = Vec::new();
-        for (i, slot) in slots.iter_mut().enumerate() {
-            if let crate::pool::JobOutcome::Panicked(_) = slot {
-                match catch_unwind(AssertUnwindSafe(|| solve_one(i))) {
-                    Ok(result) => *slot = crate::pool::JobOutcome::Done(result),
-                    Err(payload) => {
-                        let message = payload
-                            .downcast_ref::<&str>()
-                            .map(|s| (*s).to_string())
-                            .or_else(|| payload.downcast_ref::<String>().cloned())
-                            .unwrap_or_else(|| "non-string panic payload".to_string());
-                        failures.push(RuntimeError::WorkerFailed {
-                            round: ctx.round,
-                            k_index: i,
-                            message,
-                        });
-                    }
-                }
-            }
-        }
+        let slots = backend.run_ks(degrees, ks.len(), ctx, &job)?;
 
         let mut completed_k_indices = Vec::new();
+        let mut failures = Vec::new();
         let mut interrupted = false;
         let mut best: Option<MaarCut> = None;
         for (i, slot) in slots.into_iter().enumerate() {
             match slot {
-                crate::pool::JobOutcome::Done(KResult::Interrupted)
-                | crate::pool::JobOutcome::Skipped => interrupted = true,
-                crate::pool::JobOutcome::Done(result) => {
+                JobOutcome::Done(KResult::Interrupted) | JobOutcome::Skipped => interrupted = true,
+                JobOutcome::Done(result) => {
                     completed_k_indices.push(i);
                     if let KResult::Cut(cut) = result {
-                        let better = match &best {
-                            None => true,
-                            Some(b) => cut.acceptance_rate < b.acceptance_rate,
-                        };
-                        if better {
+                        if best.as_ref().is_none_or(|b| cut.acceptance_rate < b.acceptance_rate) {
                             best = Some(cut);
                         }
                     }
                 }
-                // Retried above: a surviving Panicked slot is a recorded
-                // failure, not a candidate.
-                crate::pool::JobOutcome::Panicked(_) => {}
+                // A panic that survived its retry is a recorded failure,
+                // not a candidate.
+                JobOutcome::Panicked(message) => failures.push(RuntimeError::WorkerFailed {
+                    round: ctx.round,
+                    k_index: i,
+                    message,
+                }),
             }
         }
-        SweepOutcome {
+        Ok(SweepOutcome {
             cut: if interrupted { None } else { best },
             completed_k_indices,
             failures,
             interrupted,
-        }
+        })
     }
 
-    fn initial_partition(
+    /// The region every `k` starts from: all legit, or the warm start —
+    /// nodes at or above the rejection-ratio threshold, capped at the
+    /// admissible suspect-region size (highest ratios first, ties by id) so
+    /// the warm start never starts outside the feasible family. Seeds
+    /// override the placement.
+    fn initial_regions(
         &self,
-        g: &AugmentedGraph,
+        degrees: &[Degrees],
         legit_seeds: &[NodeId],
         spammer_seeds: &[NodeId],
         placement: InitialPlacement,
-    ) -> Partition {
-        let cap = self.suspect_cap(g.num_nodes());
-        let mut region = match placement {
-            InitialPlacement::AllLegit => vec![Region::Legit; g.num_nodes()],
-            InitialPlacement::RejectionRatio(threshold) => {
-                // Candidates above the threshold, capped at the admissible
-                // suspect-region size (highest ratios first) so the warm
-                // start never starts outside the feasible family.
-                let mut candidates: Vec<(f64, NodeId)> = g
-                    .nodes()
-                    .filter_map(|u| {
-                        g.rejection_ratio(u)
-                            .filter(|&r| r >= threshold)
-                            .map(|r| (r, u))
-                    })
-                    .collect();
-                candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-                let mut region = vec![Region::Legit; g.num_nodes()];
-                for (_, u) in candidates.into_iter().take(cap) {
-                    region[u.index()] = Region::Suspect;
-                }
-                region
+        cap: usize,
+    ) -> Vec<Region> {
+        let mut region = vec![Region::Legit; degrees.len()];
+        if let InitialPlacement::RejectionRatio(threshold) = placement {
+            let mut candidates: Vec<(f64, usize)> = degrees
+                .iter()
+                .enumerate()
+                .filter_map(|(u, d)| {
+                    d.rejection_ratio().filter(|&r| r >= threshold).map(|r| (r, u))
+                })
+                .collect();
+            candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+            for (_, u) in candidates.into_iter().take(cap) {
+                region[u] = Region::Suspect;
             }
-        };
+        }
         for &s in legit_seeds {
             region[s.index()] = Region::Legit;
         }
         for &s in spammer_seeds {
             region[s.index()] = Region::Suspect;
         }
-        Partition::from_regions(g, region)
+        region
     }
 }
 

@@ -33,9 +33,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// The fate of one pool job.
+/// The fate of one sweep job, slotted by its sweep index.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum JobOutcome<T> {
+pub enum JobOutcome<T> {
     /// The worker returned normally.
     Done(T),
     /// The worker panicked; the payload message is preserved for
@@ -72,7 +72,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// because a panicked job's only observable artifact is its own slot,
 /// which is overwritten with the panic outcome — no partially-mutated
 /// state escapes into other jobs.
-fn run_one<T, F>(worker: &F, i: usize) -> JobOutcome<T>
+pub(crate) fn run_one<T, F>(worker: &F, i: usize) -> JobOutcome<T>
 where
     F: Fn(usize) -> T + Sync,
 {

@@ -142,10 +142,12 @@ impl fmt::Display for RuntimeError {
 impl Error for RuntimeError {}
 
 /// Per-run plumbing shared by the pruning loop and the sweep workers: the
-/// cancellation token budgets arm, the fault injector tests arm, and the
-/// current 1-based round for diagnostics.
+/// cancellation token budgets arm, the fault injector tests arm, the
+/// current 1-based round for diagnostics, and the metrics registry. Sweep
+/// backends outside this crate read the token through
+/// [`RunContext::token`].
 #[derive(Debug, Clone)]
-pub(crate) struct RunContext {
+pub struct RunContext {
     pub(crate) token: kl::CancelToken,
     pub(crate) injector: crate::faults::FaultInjector,
     pub(crate) round: usize,
@@ -163,6 +165,39 @@ impl RunContext {
             injector: crate::faults::FaultInjector::new(&crate::faults::FaultPlan::default()),
             round: 0,
             obs: None,
+        }
+    }
+
+    /// A context for one run under `config`: a fresh token carrying the
+    /// run deadline, the injected deadline (the tighter one wins) and the
+    /// global pass budget, and the plan's faults armed once for the whole
+    /// run.
+    pub fn armed(config: &crate::RejectoConfig, obs: Option<rejecto_obs::Obs>) -> Self {
+        let token = kl::CancelToken::new();
+        let injector = crate::faults::FaultInjector::new(&config.faults);
+        if let Some(deadline) = config.budget.deadline {
+            token.set_deadline_in(deadline);
+        }
+        if let Some(deadline) = injector.deadline() {
+            token.set_deadline_in(deadline);
+        }
+        if let Some(passes) = config.budget.max_kl_passes {
+            token.set_pass_budget(passes);
+        }
+        RunContext { token, injector, round: 0, obs }
+    }
+
+    /// The run's cancellation token.
+    pub fn token(&self) -> &kl::CancelToken {
+        &self.token
+    }
+
+    /// What stopped the run, in the report's vocabulary.
+    pub fn interrupt_reason(&self) -> crate::InterruptReason {
+        match self.token.reason() {
+            Some(kl::CancelReason::Deadline) => crate::InterruptReason::Deadline,
+            Some(kl::CancelReason::PassBudget) => crate::InterruptReason::PassBudget,
+            _ => crate::InterruptReason::Cancelled,
         }
     }
 }

@@ -28,20 +28,17 @@
 //! byte-identical to the failure-free run.
 
 use crate::error::ClusterError;
-use crate::LruCache;
+use crate::source::ShardSource;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use kl::{BucketList, CancelReason, CancelToken, KParam};
-use rejection::{AugmentedGraph, NodeId};
-use rejecto_core::{
-    ClusterFaults, Completion, InitialPlacement, InterruptReason, RejectoConfig, RuntimeError,
-};
+use kl::KParam;
+use rejection::{Adjacency, AugmentedGraph, NodeId, Region};
+#[cfg(test)]
+use rejecto_core::{InitialPlacement, InterruptReason};
+use rejecto_core::{ClusterFaults, Completion, MaarSolver, RejectoConfig, RunContext, RuntimeError};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-
-const LEGIT: u8 = 0;
-const SUSPECT: u8 = 1;
 
 /// Never tighten the per-request watchdog below this, even when the run
 /// deadline is about to expire: a healthy worker that needs a few
@@ -50,12 +47,23 @@ const WATCHDOG_FLOOR: Duration = Duration::from_millis(250);
 
 /// Per-node adjacency shipped from a worker to the master.
 #[derive(Debug, Clone, Default)]
-struct NodeData {
+pub(crate) struct NodeData {
     friends: Vec<u32>,
     /// Users whose requests this node rejected.
     rejected_by: Vec<u32>,
     /// Users who rejected this node's requests.
     rejectors_of: Vec<u32>,
+}
+
+impl NodeData {
+    /// The slice view the cut and gain arithmetic reads.
+    pub(crate) fn adjacency(&self) -> Adjacency<'_, u32> {
+        Adjacency {
+            friends: &self.friends,
+            rejected_by: &self.rejected_by,
+            rejectors_of: &self.rejectors_of,
+        }
+    }
 }
 
 /// Cluster sizing and failure-handling knobs.
@@ -183,12 +191,13 @@ enum Request {
     /// Ship the adjacency of these owned nodes.
     Fetch(Vec<u32>),
     /// Compute initial switching gains for the owned range under the given
-    /// region assignment and rational `k = num/den`.
-    InitGains { regions: Arc<Vec<u8>>, num: i64, den: i64 },
-    /// Compute `(friend_degree, rejections_received)` for the owned range.
+    /// region assignment and rational `k`.
+    InitGains { regions: Arc<Vec<Region>>, k: KParam },
+    /// Compute `(friend_degree, rejections_received, rejections_cast)` for
+    /// the owned range.
     Stats,
     /// Count cross-cut friendships and rejections for the owned range.
-    CutCounts { regions: Arc<Vec<u8>> },
+    CutCounts { regions: Arc<Vec<Region>> },
     Shutdown,
 }
 
@@ -199,8 +208,9 @@ enum Response {
     Nodes(Vec<(u32, NodeData)>),
     /// Gains for the owned range, in id order.
     Gains { base: u32, gains: Vec<i64> },
-    /// `(friend_degree, rejections_received)` for the owned range.
-    Stats { base: u32, stats: Vec<(u32, u32)> },
+    /// `(friend_degree, rejections_received, rejections_cast)` for the
+    /// owned range.
+    Stats { base: u32, stats: Vec<(u32, u32, u32)> },
     /// `(cross_friendships_counted_once, cross_rejections)`.
     CutCounts { base: u32, len: u32, friends: u64, rejections: u64 },
 }
@@ -288,28 +298,23 @@ impl Shard {
                     let out = self
                         .nodes
                         .iter()
-                        .map(|n| (n.friends.len() as u32, n.rejectors_of.len() as u32))
+                        .map(|n| {
+                            (
+                                n.friends.len() as u32,
+                                n.rejectors_of.len() as u32,
+                                n.rejected_by.len() as u32,
+                            )
+                        })
                         .collect();
                     let _ = tx.send(Response::Stats { base: self.base, stats: out });
                 }
                 Request::CutCounts { regions } => {
                     let mut cf = 0u64;
                     let mut cr = 0u64;
-                    for (i, n) in self.nodes.iter().enumerate() {
-                        let u = self.base + i as u32;
-                        let ru = regions[u as usize];
-                        for &v in &n.friends {
-                            if u < v && ru != regions[v as usize] {
-                                cf += 1;
-                            }
-                        }
-                        if ru == LEGIT {
-                            for &s in &n.rejected_by {
-                                if regions[s as usize] == SUSPECT {
-                                    cr += 1;
-                                }
-                            }
-                        }
+                    for (u, n) in (self.base..).zip(&self.nodes) {
+                        let (f, r) = n.adjacency().cut_share(NodeId(u), &regions);
+                        cf += f;
+                        cr += r;
                     }
                     let _ = tx.send(Response::CutCounts {
                         base: self.base,
@@ -318,62 +323,16 @@ impl Shard {
                         rejections: cr,
                     });
                 }
-                Request::InitGains { regions, num, den } => {
-                    let gains = self
-                        .nodes
-                        .iter()
-                        .enumerate()
-                        .map(|(i, n)| {
-                            let u = self.base + i as u32;
-                            let (df, dr) = switch_delta(n, u, &regions);
-                            num * dr - den * df
-                        })
+                Request::InitGains { regions, k } => {
+                    let gains = (self.base..)
+                        .zip(&self.nodes)
+                        .map(|(u, n)| k.gain(n.adjacency().switch_delta(NodeId(u), &regions)))
                         .collect();
                     let _ = tx.send(Response::Gains { base: self.base, gains });
                 }
             }
         }
     }
-}
-
-/// `(Δcross_friendships, Δcross_rejections)` if `u` switched regions —
-/// the same arithmetic as `rejection::Partition::switch_delta`, expressed
-/// over shipped [`NodeData`].
-fn switch_delta(n: &NodeData, u: u32, regions: &[u8]) -> (i64, i64) {
-    let from = regions[u as usize];
-    let mut df = 0i64;
-    for &v in &n.friends {
-        if regions[v as usize] == from {
-            df += 1;
-        } else {
-            df -= 1;
-        }
-    }
-    let mut dr = 0i64;
-    if from == LEGIT {
-        for &r in &n.rejectors_of {
-            if regions[r as usize] == LEGIT {
-                dr += 1;
-            }
-        }
-        for &s in &n.rejected_by {
-            if regions[s as usize] == SUSPECT {
-                dr -= 1;
-            }
-        }
-    } else {
-        for &r in &n.rejectors_of {
-            if regions[r as usize] == LEGIT {
-                dr -= 1;
-            }
-        }
-        for &s in &n.rejected_by {
-            if regions[s as usize] == SUSPECT {
-                dr += 1;
-            }
-        }
-    }
-    (df, dr)
 }
 
 fn spawn_worker(
@@ -747,7 +706,11 @@ impl Cluster {
 
     /// Fetches adjacency for `ids` (grouped by owner; one fan-out counts as
     /// one batch in the stats).
-    fn fetch(&self, ids: &[u32], io: &mut IoStats) -> Result<Vec<(u32, NodeData)>, ClusterError> {
+    pub(crate) fn fetch(
+        &self,
+        ids: &[u32],
+        io: &mut IoStats,
+    ) -> Result<Vec<(u32, NodeData)>, ClusterError> {
         if ids.is_empty() {
             return Ok(Vec::new());
         }
@@ -780,82 +743,78 @@ impl Cluster {
         Ok(out)
     }
 
-    /// Parallel per-node `(friend_degree, rejections_received)`.
-    fn stats(&self, io: &mut IoStats) -> Result<Vec<(u32, u32)>, ClusterError> {
+    /// Broadcasts one initialization job and hands every shard's answer to
+    /// `take` in node order (the broadcast's spans tile the id range);
+    /// `take` returns `false` on an answer of the wrong kind.
+    fn gather(
+        &self,
+        make_req: &dyn Fn() -> Request,
+        io: &mut IoStats,
+        job: &str,
+        mut take: impl FnMut(Response) -> bool,
+    ) -> Result<(), ClusterError> {
         io.init_jobs += 1;
-        let mut out = vec![(0u32, 0u32); self.num_nodes];
-        for resp in self.broadcast(&|| Request::Stats, io)? {
-            match resp {
-                Response::Stats { base, stats } => {
-                    for (i, v) in stats.into_iter().enumerate() {
-                        out[base as usize + i] = v;
-                    }
-                }
-                _ => {
-                    return Err(ClusterError::ProtocolViolation {
-                        message: "stats broadcast yielded a non-Stats response".to_string(),
-                    })
-                }
+        for resp in self.broadcast(make_req, io)? {
+            if !take(resp) {
+                return Err(ClusterError::ProtocolViolation {
+                    message: format!("{job} broadcast yielded a response of another kind"),
+                });
             }
         }
+        Ok(())
+    }
+
+    /// Parallel per-node
+    /// `(friend_degree, rejections_received, rejections_cast)`.
+    pub(crate) fn stats(&self, io: &mut IoStats) -> Result<Vec<(u32, u32, u32)>, ClusterError> {
+        let mut out = Vec::with_capacity(self.num_nodes);
+        self.gather(&|| Request::Stats, io, "stats", |resp| match resp {
+            Response::Stats { stats, .. } => {
+                out.extend(stats);
+                true
+            }
+            _ => false,
+        })?;
         Ok(out)
     }
 
     /// Parallel initial gains for all nodes under `regions`.
-    fn init_gains(
+    pub(crate) fn init_gains(
         &self,
-        regions: &Arc<Vec<u8>>,
+        regions: &[Region],
         k: KParam,
         io: &mut IoStats,
     ) -> Result<Vec<i64>, ClusterError> {
-        io.init_jobs += 1;
-        let mut out = vec![0i64; self.num_nodes];
-        let make = || Request::InitGains {
-            regions: Arc::clone(regions),
-            num: k.num() as i64,
-            den: k.den() as i64,
-        };
-        for resp in self.broadcast(&make, io)? {
-            match resp {
-                Response::Gains { base, gains } => {
-                    for (i, v) in gains.into_iter().enumerate() {
-                        out[base as usize + i] = v;
-                    }
-                }
-                _ => {
-                    return Err(ClusterError::ProtocolViolation {
-                        message: "init-gains broadcast yielded a non-Gains response".to_string(),
-                    })
-                }
+        let regions = Arc::new(regions.to_vec());
+        let make = || Request::InitGains { regions: Arc::clone(&regions), k };
+        let mut out = Vec::with_capacity(self.num_nodes);
+        self.gather(&make, io, "init-gains", |resp| match resp {
+            Response::Gains { gains, .. } => {
+                out.extend(gains);
+                true
             }
-        }
+            _ => false,
+        })?;
         Ok(out)
     }
 
     /// Parallel cross-cut counts under `regions`.
-    fn cut_counts(
+    pub(crate) fn cut_counts(
         &self,
-        regions: &Arc<Vec<u8>>,
+        regions: &[Region],
         io: &mut IoStats,
     ) -> Result<(u64, u64), ClusterError> {
-        io.init_jobs += 1;
-        let mut cf = 0u64;
-        let mut cr = 0u64;
-        let make = || Request::CutCounts { regions: Arc::clone(regions) };
-        for resp in self.broadcast(&make, io)? {
-            match resp {
-                Response::CutCounts { friends, rejections, .. } => {
-                    cf += friends;
-                    cr += rejections;
-                }
-                _ => {
-                    return Err(ClusterError::ProtocolViolation {
-                        message: "cut-counts broadcast yielded a non-CutCounts response"
-                            .to_string(),
-                    })
-                }
+        let regions = Arc::new(regions.to_vec());
+        let make = || Request::CutCounts { regions: Arc::clone(&regions) };
+        let (mut cf, mut cr) = (0u64, 0u64);
+        self.gather(&make, io, "cut-counts", |resp| match resp {
+            Response::CutCounts { friends, rejections, .. } => {
+                cf += friends;
+                cr += rejections;
+                true
             }
-        }
+            _ => false,
+        })?;
         Ok((cf, cr))
     }
 }
@@ -900,10 +859,10 @@ pub struct DistributedOutcome {
     pub failures: Vec<RuntimeError>,
 }
 
-/// Distributed MAAR solver: the same geometric-`k` sweep of extended KL as
-/// `rejecto_core::MaarSolver`, executed against a [`Cluster`] with the §V
-/// data layout (status + bucket list on the master, adjacency on the
-/// workers, prefetch through an LRU buffer).
+/// Distributed MAAR solver: `rejecto_core::MaarSolver`'s sweep with every
+/// extended-KL run reading a [`Cluster`] through the §V data layout
+/// (status + bucket list on the master, adjacency on the workers, prefetch
+/// through an LRU buffer).
 #[derive(Debug, Clone)]
 pub struct DistributedMaar {
     cluster_config: ClusterConfig,
@@ -942,8 +901,9 @@ impl DistributedMaar {
         self.solve_on(&cluster, g.num_nodes())
     }
 
-    /// Solves MAAR against an existing cluster (graph already sharded),
-    /// arming the configured budgets and fault plan for this one solve.
+    /// Solves MAAR against an existing cluster holding `num_nodes` users
+    /// (graph already sharded), arming the configured budgets and fault
+    /// plan for this one solve.
     ///
     /// # Errors
     ///
@@ -953,359 +913,32 @@ impl DistributedMaar {
         cluster: &Cluster,
         num_nodes: usize,
     ) -> Result<DistributedOutcome, RuntimeError> {
-        let token = CancelToken::new();
-        if let Some(deadline) = self.rejecto.budget.deadline {
-            token.set_deadline_in(deadline);
-        }
-        if let Some(passes) = self.rejecto.budget.max_kl_passes {
-            token.set_pass_budget(passes);
-        }
-        let faults = ClusterFaults::new(&self.rejecto.faults);
-        if let Some(deadline) = faults.deadline() {
-            // The token keeps the tighter of the two deadlines.
-            token.set_deadline_in(deadline);
-        }
-        cluster.arm_faults(faults);
-        self.solve_monitored_on(cluster, num_nodes, &[], &[], &token)
-    }
-
-    /// The monitored solve the distributed detector drives round by round:
-    /// budgets arrive through a shared `token` (armed by the caller) and
-    /// fault schedules through the cluster. Seed ids are in the cluster's
-    /// (residual) id space.
-    pub(crate) fn solve_monitored_on(
-        &self,
-        cluster: &Cluster,
-        num_nodes: usize,
-        legit: &[NodeId],
-        spammer: &[NodeId],
-        token: &CancelToken,
-    ) -> Result<DistributedOutcome, RuntimeError> {
-        let out = self.solve_with_placement(
-            cluster,
-            num_nodes,
-            legit,
-            spammer,
-            self.rejecto.initial_placement,
-            token,
-        )?;
-        if !out.suspects.is_empty()
-            || matches!(out.completion, Completion::Partial { .. })
-            || self.rejecto.initial_placement == InitialPlacement::AllLegit
-        {
-            return Ok(out);
-        }
-        // Same fallback as the single-process solver: if the warm start
-        // steered every k past the admissible cut size, retry all-legit.
-        let mut retry = self.solve_with_placement(
-            cluster,
-            num_nodes,
-            legit,
-            spammer,
-            InitialPlacement::AllLegit,
-            token,
-        )?;
-        retry.io.merge(&out.io);
-        retry.elapsed += out.elapsed;
-        let mut failures = out.failures;
-        failures.extend(std::mem::take(&mut retry.failures));
-        retry.failures = failures;
-        Ok(retry)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn solve_with_placement(
-        &self,
-        cluster: &Cluster,
-        num_nodes: usize,
-        legit: &[NodeId],
-        spammer: &[NodeId],
-        placement: InitialPlacement,
-        token: &CancelToken,
-    ) -> Result<DistributedOutcome, RuntimeError> {
+        debug_assert_eq!(num_nodes, cluster.num_nodes(), "cluster holds a different graph");
         let start = rejecto_obs::Stopwatch::start();
-        let mut io = IoStats::default();
-        let faults = cluster.faults_handle();
-        let _sweep_span = self.obs.as_ref().map(|o| o.span("detect/round/sweep"));
-
-        // Warm start needs per-node (degree, rejections) — an RDD job. As
-        // in the single-process solver, the warm suspect set is capped at
-        // the admissible region size (highest rejection ratios first) and
-        // seeds override the placement afterwards.
-        let stats = cluster.stats(&mut io)?;
-        let warm_cap =
-            (self.rejecto.max_suspect_fraction * num_nodes as f64).floor() as usize;
-        let mut warm: Vec<u8> = match placement {
-            InitialPlacement::AllLegit => vec![LEGIT; num_nodes],
-            InitialPlacement::RejectionRatio(t) => {
-                let mut candidates: Vec<(f64, usize)> = stats
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &(f, r))| {
-                        let total = f as f64 + r as f64;
-                        let ratio = if total > 0.0 { r as f64 / total } else { return None };
-                        (ratio >= t).then_some((ratio, i))
-                    })
-                    .collect();
-                candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-                let mut warm = vec![LEGIT; num_nodes];
-                for (_, i) in candidates.into_iter().take(warm_cap) {
-                    warm[i] = SUSPECT;
-                }
-                warm
-            }
-            #[allow(unreachable_patterns)]
-            _ => vec![LEGIT; num_nodes],
-        };
-        // Seeds are pinned: pre-placed in their region and locked out of
-        // the bucket list so KL can never switch them (§IV-F).
-        let mut locked = vec![false; num_nodes];
-        for s in legit {
-            warm[s.index()] = LEGIT;
-            locked[s.index()] = true;
-        }
-        for s in spammer {
-            warm[s.index()] = SUSPECT;
-            locked[s.index()] = true;
-        }
-        let gain_bound = {
-            let mut b = 1i64;
-            let max_num = (self.rejecto.k_max * self.rejecto.k_denominator as f64).ceil() as i64 + 1;
-            for &(f, r) in &stats {
-                // rejectors + rejectees both bounded by total incident
-                // rejections; use a safe overestimate.
-                b = b.max(
-                    self.rejecto.k_denominator as i64 * f as i64 + max_num * 2 * r as i64 + max_num,
-                );
-            }
-            b
-        };
-
-        let mut best: Option<(Vec<u8>, f64, KParam)> = None;
-        let cap = (self.rejecto.max_suspect_fraction * num_nodes as f64).floor() as usize;
-        // The buffer persists across the whole k sweep — the graph data it
-        // caches is k-independent ("we cache intermediate data sets and
-        // results in memory, reducing the cost of their future reuse").
-        let mut buffer: LruCache<NodeData> = LruCache::new(self.cluster_config.buffer_capacity);
-        let mut completed: Vec<usize> = Vec::new();
-        let mut interrupted = false;
-        for (idx, k) in self.rejecto.k_sweep().into_iter().enumerate() {
-            if token.is_cancelled() {
-                interrupted = true;
-                break;
-            }
-            // Bound a potential hang by the remaining run budget, and arm
-            // any injected hang scheduled for this sweep index.
-            if let Some(remaining) = token.time_remaining() {
-                cluster.tighten_watchdog(remaining);
-            }
-            if faults.take_hang(idx) {
-                cluster.arm_hang(1);
-            }
-            let _k_span = self.obs.as_ref().map(|o| o.span("detect/round/sweep/k_index"));
-            let Some((regions, cf, cr)) =
-                self.run_kl(cluster, num_nodes, &warm, &locked, k, gain_bound, &mut buffer, token, &mut io)?
-            else {
-                // A budget tripped mid-k: the half-finished k is rolled
-                // back (its tentative regions are discarded wholesale).
-                interrupted = true;
-                break;
-            };
-            completed.push(idx);
-            let suspects = regions.iter().filter(|&&r| r == SUSPECT).count();
-            if suspects == 0 || suspects > cap || cf + cr == 0 {
-                continue;
-            }
-            let ac = cf as f64 / (cf + cr) as f64;
-            if best.as_ref().is_none_or(|(_, b, _)| ac < *b) {
-                best = Some((regions, ac, k));
-            }
-        }
-
-        let completion = if interrupted {
+        let ctx = RunContext::armed(&self.rejecto, self.obs.clone());
+        cluster.arm_faults(ClusterFaults::new(&self.rejecto.faults));
+        let mut source = ShardSource::new(cluster, &self.cluster_config);
+        let out = MaarSolver::new(self.rejecto.clone()).solve_with(&mut source, &[], &[], &ctx)?;
+        let completion = if out.interrupted {
             Completion::Partial {
                 completed_rounds: 0,
-                completed_k_indices: completed,
-                reason: interrupt_reason(token),
+                completed_k_indices: out.completed_k_indices,
+                reason: ctx.interrupt_reason(),
             }
         } else {
             Completion::Complete
         };
-        let elapsed = start.elapsed();
-        // An interrupted sweep reports no cut, like the single-process
-        // solver: a partial sweep's best-so-far is not the MAAR cut.
-        let best = if interrupted { None } else { best };
-        Ok(match best {
-            Some((regions, ac, k)) => DistributedOutcome {
-                suspects: regions
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &r)| r == SUSPECT)
-                    .map(|(i, _)| NodeId::from_index(i))
-                    .collect(),
-                acceptance_rate: Some(ac),
-                k: Some(k.value()),
-                k_exact: Some(k),
-                io,
-                elapsed,
-                completion,
-                failures: Vec::new(),
-            },
-            None => DistributedOutcome {
-                suspects: Vec::new(),
-                acceptance_rate: None,
-                k: None,
-                k_exact: None,
-                io,
-                elapsed,
-                completion,
-                failures: Vec::new(),
-            },
+        let cut = out.cut;
+        Ok(DistributedOutcome {
+            suspects: cut.as_ref().map(|c| c.suspects()).unwrap_or_default(),
+            acceptance_rate: cut.as_ref().map(|c| c.acceptance_rate),
+            k: cut.as_ref().map(|c| c.k.value()),
+            k_exact: cut.as_ref().map(|c| c.k),
+            io: source.io(),
+            elapsed: start.elapsed(),
+            completion,
+            failures: out.failures,
         })
-    }
-
-    /// One extended-KL optimization for a fixed `k` on the cluster.
-    /// Returns the final regions and cross-cut counts, or `None` when the
-    /// run budget tripped at a pass boundary (the k is rolled back).
-    #[allow(clippy::too_many_arguments)]
-    fn run_kl(
-        &self,
-        cluster: &Cluster,
-        num_nodes: usize,
-        warm: &[u8],
-        locked: &[bool],
-        k: KParam,
-        gain_bound: i64,
-        buffer: &mut LruCache<NodeData>,
-        token: &CancelToken,
-        io: &mut IoStats,
-    ) -> Result<Option<(Vec<u8>, u64, u64)>, RuntimeError> {
-        let num = k.num() as i64;
-        let den = k.den() as i64;
-        let mut regions = Arc::new(warm.to_vec());
-        let (mut cf, mut cr) = cluster.cut_counts(&regions, io)?;
-        let mut passes_run = 0u64;
-        let mut moves_committed = 0u64;
-        let mut bucket_adjusts = 0u64;
-
-        for _pass in 0..self.rejecto.max_kl_passes {
-            if !token.consume_pass() {
-                return Ok(None);
-            }
-            passes_run += 1;
-            let _pass_span =
-                self.obs.as_ref().map(|o| o.span("detect/round/sweep/k_index/kl_pass"));
-            // Tentative state for this pass.
-            let mut tmp: Vec<u8> = regions.as_ref().clone();
-            let gains = cluster.init_gains(&regions, k, io)?;
-            let mut bucket = BucketList::new(num_nodes, -gain_bound, gain_bound);
-            for (i, &g) in gains.iter().enumerate() {
-                if !locked[i] {
-                    bucket.insert(i as u32, g);
-                }
-            }
-
-            let mut seq: Vec<(u32, i64, i64, i64)> = Vec::with_capacity(num_nodes);
-            while !bucket.is_empty() {
-                // Ensure the next pops are resident: prefetch top-gain ids.
-                let top = bucket.peek_top(self.cluster_config.prefetch_batch);
-                let missing: Vec<u32> =
-                    top.iter().copied().filter(|id| !buffer.contains(id)).collect();
-                if !missing.is_empty() {
-                    io.buffer_misses += missing.len() as u64;
-                    for (id, data) in cluster.fetch(&missing, io)? {
-                        buffer.insert(id, data);
-                    }
-                }
-                for _ in 0..top.len() {
-                    let Some((u, gain)) = bucket.pop_max() else { break };
-                    if !buffer.contains(&u) {
-                        // Gain updates reorder the bucket between pops, so
-                        // the max can fall outside the prefetched set.
-                        io.buffer_misses += 1;
-                        let fetched = cluster.fetch(&[u], io)?;
-                        let d = fetched.into_iter().next().expect("owner must return node").1;
-                        buffer.insert(u, d);
-                    } else {
-                        io.buffer_hits += 1;
-                    }
-                    let data = buffer.get(&u).expect("just ensured present");
-                    let from = tmp[u as usize];
-                    let (df, dr) = switch_delta(data, u, &tmp);
-                    debug_assert_eq!(gain, num * dr - den * df, "stale distributed gain");
-                    tmp[u as usize] = 1 - from;
-                    let now_in = tmp[u as usize];
-                    seq.push((u, gain, df, dr));
-
-                    for &v in &data.friends {
-                        if bucket.contains(v) {
-                            let t = if tmp[v as usize] == from { 1 } else { -1 };
-                            bucket.adjust(v, 2 * den * t);
-                            bucket_adjusts += 1;
-                        }
-                    }
-                    for &v in &data.rejected_by {
-                        if bucket.contains(v) {
-                            let da = if now_in == LEGIT { 1 } else { -1 };
-                            let s_v = if tmp[v as usize] == LEGIT { 1 } else { -1 };
-                            bucket.adjust(v, num * s_v * da);
-                            bucket_adjusts += 1;
-                        }
-                    }
-                    for &v in &data.rejectors_of {
-                        if bucket.contains(v) {
-                            let db = if now_in == SUSPECT { 1 } else { -1 };
-                            let s_v = if tmp[v as usize] == LEGIT { 1 } else { -1 };
-                            bucket.adjust(v, -num * s_v * db);
-                            bucket_adjusts += 1;
-                        }
-                    }
-                }
-            }
-
-            // Best strictly positive prefix.
-            let mut best: Option<usize> = None;
-            let mut best_gain = 0i64;
-            let mut cum = 0i64;
-            for (i, &(_, gain, _, _)) in seq.iter().enumerate() {
-                cum += gain;
-                if cum > best_gain {
-                    best_gain = cum;
-                    best = Some(i);
-                }
-            }
-            let Some(end) = best else { break };
-            let mut committed: Vec<u8> = regions.as_ref().clone();
-            for &(u, _, df, dr) in &seq[..=end] {
-                committed[u as usize] = 1 - committed[u as usize];
-                cf = cf.checked_add_signed(df).expect("cut counter underflow");
-                cr = cr.checked_add_signed(dr).expect("cut counter underflow");
-                moves_committed += 1;
-            }
-            regions = Arc::new(committed);
-        }
-        // Flushed only for a k that ran to convergence: a budget-tripped k
-        // is rolled back wholesale (the early return above), so its partial
-        // work must not leak into the deterministic counters either.
-        if let Some(obs) = &self.obs {
-            obs.incr("kl/passes", passes_run);
-            obs.incr("kl/moves_committed", moves_committed);
-            obs.incr("kl/bucket_adjusts", bucket_adjusts);
-        }
-        Ok(Some((
-            Arc::try_unwrap(regions).unwrap_or_else(|a| a.as_ref().clone()),
-            cf,
-            cr,
-        )))
-    }
-}
-
-/// Maps the token's trip cause onto the report vocabulary.
-pub(crate) fn interrupt_reason(token: &CancelToken) -> InterruptReason {
-    match token.reason() {
-        Some(CancelReason::Deadline) => InterruptReason::Deadline,
-        Some(CancelReason::PassBudget) => InterruptReason::PassBudget,
-        _ => InterruptReason::Cancelled,
     }
 }
 

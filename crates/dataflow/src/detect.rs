@@ -1,10 +1,10 @@
 //! Iterative detection on the distributed runtime (§IV-E on §V).
 //!
-//! [`DistributedDetector`] is the cluster-backed twin of
-//! `rejecto_core::IterativeDetector`: the same cut-and-prune loop, with
-//! every MAAR solve executed by [`DistributedMaar`] against a fresh
-//! per-round [`Cluster`] sharding the residual graph. Its statement order
-//! deliberately mirrors the single-process loop so that:
+//! [`DistributedDetector`] is `rejecto_core::IterativeDetector`'s pruning
+//! loop with one change: each round's residual graph is sharded onto a
+//! fresh [`Cluster`], and the round's MAAR sweep reads it through the
+//! shard-backed adjacency source. Budgets, the resource rollback,
+//! checkpoints and fault injection are the core loop's own, so:
 //!
 //! * a run is **worker-count invariant** — the master's sweep is
 //!   sequential and placement-independent, so 1 worker and 16 workers
@@ -12,67 +12,29 @@
 //! * a run under any injected fault plan that leaves a survivor is
 //!   byte-identical to the failure-free run (recovery replays requests
 //!   against immutable lineage);
-//! * a run resumed from a PR-4 checkpoint is byte-identical to the
-//!   uninterrupted run (same [`Checkpoint`] rebuild as the core
-//!   detector).
+//! * a run resumed from a checkpoint is byte-identical to the
+//!   uninterrupted run, and local and distributed checkpoints are
+//!   interchangeable.
 //!
 //! Unlike the core detector, every entry point returns a `Result`: losing
 //! all workers is a [`RuntimeError::ClusterFailed`], not a panic.
 
-use crate::cluster::interrupt_reason;
-use crate::{Cluster, ClusterConfig, DistributedMaar, IoStats};
-use kl::CancelToken;
+use crate::source::ShardSource;
+use crate::{Cluster, ClusterConfig, IoStats};
 use rejection::{AugmentedGraph, NodeId};
 use rejecto_core::checkpoint::Checkpoint;
 use rejecto_core::{
-    ClusterFaults, Completion, DetectedGroup, DetectionReport, InterruptReason, RejectoConfig,
+    CheckpointSink, ClusterFaults, DetectionReport, IterativeDetector, RejectoConfig, RunContext,
     RuntimeError, Seeds, Termination,
 };
-use std::io;
 use std::sync::Arc;
-
-/// A checkpoint consumer, as in the core detector: called after every
-/// completed pruning round; errors are recorded on the report as
-/// [`RuntimeError::CheckpointIo`] and never stop the detection.
-pub type CheckpointSink<'a> = &'a mut dyn FnMut(&Checkpoint) -> io::Result<()>;
-
-/// Mid-run loop state (report so far, residual graph, mapping back to
-/// original ids) — fresh or rebuilt from a [`Checkpoint`].
-struct LoopState {
-    report: DetectionReport,
-    current: AugmentedGraph,
-    to_original: Vec<NodeId>,
-}
-
-impl LoopState {
-    fn fresh(g: &AugmentedGraph) -> LoopState {
-        LoopState {
-            report: DetectionReport::default(),
-            current: g.clone(),
-            to_original: g.nodes().collect(),
-        }
-    }
-
-    /// Rebuilds the state the uninterrupted run had after the checkpointed
-    /// round (one induction over the survivor set composes with the run's
-    /// per-round inductions — same argument as the core detector).
-    fn from_checkpoint(g: &AugmentedGraph, ckpt: &Checkpoint) -> LoopState {
-        let mut keep = vec![false; g.num_nodes()];
-        for &u in &ckpt.remaining {
-            keep[u as usize] = true;
-        }
-        let (current, to_original) = g.induced_subgraph(&keep);
-        LoopState { report: ckpt.report(), current, to_original }
-    }
-}
 
 /// The iterative MAAR-cut detector running on the Spark-substitute
 /// cluster.
 #[derive(Debug, Clone)]
 pub struct DistributedDetector {
-    solver: DistributedMaar,
+    detector: IterativeDetector,
     cluster_config: ClusterConfig,
-    config: RejectoConfig,
     obs: Option<rejecto_obs::Obs>,
 }
 
@@ -81,23 +43,17 @@ impl DistributedDetector {
     /// `cluster_config` (capped at the residual graph's node count as the
     /// graph shrinks).
     pub fn new(cluster_config: ClusterConfig, config: RejectoConfig) -> Self {
-        DistributedDetector {
-            solver: DistributedMaar::new(cluster_config, config.clone()),
-            cluster_config,
-            config,
-            obs: None,
-        }
+        DistributedDetector { detector: IterativeDetector::new(config), cluster_config, obs: None }
     }
 
-    /// Attaches a metrics registry, shared with the underlying
-    /// [`DistributedMaar`] sweeps. Deterministic spans and counters match
-    /// the single-process detector's vocabulary; the run's aggregate
-    /// [`IoStats`] and cancellation polls are absorbed into the volatile
-    /// `timings` section when the loop returns (they vary with worker
-    /// count and fault schedules, exactly like the `detect_with_io`
-    /// counters).
+    /// Attaches a metrics registry, shared with the pruning loop and the
+    /// sweeps. Deterministic spans and counters are the single-process
+    /// detector's; the run's aggregate [`IoStats`] and cancellation polls
+    /// are absorbed into the volatile `timings` section when the loop
+    /// returns (they vary with worker count and fault schedules, exactly
+    /// like the `detect_with_io` counters).
     pub fn set_obs(&mut self, obs: rejecto_obs::Obs) {
-        self.solver.set_obs(obs.clone());
+        self.detector.set_obs(obs.clone());
         self.obs = Some(obs);
     }
 
@@ -117,7 +73,7 @@ impl DistributedDetector {
         seeds: &Seeds,
         termination: Termination,
     ) -> Result<DetectionReport, RuntimeError> {
-        Ok(self.run_loop(g, seeds, termination, LoopState::fresh(g), None)?.0)
+        Ok(self.run_with_io(g, seeds, termination, None, None)?.0)
     }
 
     /// [`DistributedDetector::detect`], also returning the aggregate
@@ -138,7 +94,7 @@ impl DistributedDetector {
         seeds: &Seeds,
         termination: Termination,
     ) -> Result<(DetectionReport, IoStats), RuntimeError> {
-        self.run_loop(g, seeds, termination, LoopState::fresh(g), None)
+        self.run_with_io(g, seeds, termination, None, None)
     }
 
     /// [`DistributedDetector::detect`], calling `sink` with a
@@ -158,7 +114,7 @@ impl DistributedDetector {
         termination: Termination,
         sink: CheckpointSink<'_>,
     ) -> Result<DetectionReport, RuntimeError> {
-        Ok(self.run_loop(g, seeds, termination, LoopState::fresh(g), Some(sink))?.0)
+        Ok(self.run_with_io(g, seeds, termination, None, Some(sink))?.0)
     }
 
     /// Continues a run from `checkpoint` exactly as if the original run
@@ -183,10 +139,7 @@ impl DistributedDetector {
         termination: Termination,
         checkpoint: &Checkpoint,
     ) -> Result<DetectionReport, RuntimeError> {
-        checkpoint.validate_against(g)?;
-        Ok(self
-            .run_loop(g, seeds, termination, LoopState::from_checkpoint(g, checkpoint), None)?
-            .0)
+        self.run(g, seeds, termination, Some(checkpoint), None)
     }
 
     /// [`DistributedDetector::resume`] with checkpointing of the continued
@@ -207,223 +160,71 @@ impl DistributedDetector {
         checkpoint: &Checkpoint,
         sink: CheckpointSink<'_>,
     ) -> Result<DetectionReport, RuntimeError> {
-        checkpoint.validate_against(g)?;
-        Ok(self
-            .run_loop(
-                g,
-                seeds,
-                termination,
-                LoopState::from_checkpoint(g, checkpoint),
-                Some(sink),
-            )?
-            .0)
+        self.run(g, seeds, termination, Some(checkpoint), Some(sink))
     }
 
-    /// The pruning loop — the same statement order as the core detector's
-    /// `run_loop`, with the MAAR solve delegated to the cluster. Budgets
-    /// are armed once on a shared token; fault schedules are armed once
-    /// and shared across per-round clusters so each schedule fires exactly
-    /// once per run.
-    fn run_loop(
+    /// Any of the detect/resume × with/without-checkpoints modes: resumes
+    /// from `resume_from` when given and checkpoints every completed round
+    /// into `sink` when given.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::CheckpointMismatch`] (and friends) when
+    /// `resume_from` does not describe `g`;
+    /// [`RuntimeError::ClusterFailed`] as in [`DistributedDetector::detect`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if any seed id is out of range of `g`.
+    pub fn run(
         &self,
         g: &AugmentedGraph,
         seeds: &Seeds,
         termination: Termination,
-        state: LoopState,
-        mut sink: Option<CheckpointSink<'_>>,
+        resume_from: Option<&Checkpoint>,
+        sink: Option<CheckpointSink<'_>>,
+    ) -> Result<DetectionReport, RuntimeError> {
+        if let Some(checkpoint) = resume_from {
+            checkpoint.validate_against(g)?;
+        }
+        Ok(self.run_with_io(g, seeds, termination, resume_from, sink)?.0)
+    }
+
+    /// The core pruning loop, each round solved on a fresh cluster sharding
+    /// the residual graph — the distributed analogue of re-deriving the
+    /// RDDs after a prune. Fault schedules are armed once and shared
+    /// across the per-round clusters so each schedule fires exactly once
+    /// per run.
+    fn run_with_io(
+        &self,
+        g: &AugmentedGraph,
+        seeds: &Seeds,
+        termination: Termination,
+        resume_from: Option<&Checkpoint>,
+        sink: Option<CheckpointSink<'_>>,
     ) -> Result<(DetectionReport, IoStats), RuntimeError> {
-        let LoopState { mut report, mut current, mut to_original } = state;
-        let config = &self.config;
-        let max_rounds = config.max_rounds;
-
-        let budget = match termination {
-            Termination::SuspectBudget(b) => Some(b),
-            Termination::AcceptanceThreshold(_) => None,
-            Termination::BudgetOrThreshold { budget, .. } => Some(budget),
-            #[allow(unreachable_patterns)]
-            _ => None,
-        };
-        let threshold = match termination {
-            Termination::SuspectBudget(_) => None,
-            Termination::AcceptanceThreshold(t) => Some(t),
-            Termination::BudgetOrThreshold { threshold, .. } => Some(threshold),
-            #[allow(unreachable_patterns)]
-            _ => None,
-        };
-
-        let token = CancelToken::new();
-        let faults = ClusterFaults::new(&config.faults);
-        if let Some(deadline) = config.budget.deadline {
-            token.set_deadline_in(deadline);
-        }
-        if let Some(deadline) = faults.deadline() {
-            // The token keeps the tighter of the two deadlines.
-            token.set_deadline_in(deadline);
-        }
-        if let Some(passes) = config.budget.max_kl_passes {
-            token.set_pass_budget(passes);
-        }
-        let mut completion = Completion::Complete;
-        let mut total_io = IoStats::default();
-        let _detect_span = self.obs.as_ref().map(|o| o.span("detect"));
-
-        while report.rounds < max_rounds {
-            if let Some(limit) = config.budget.max_rounds {
-                if report.rounds >= limit {
-                    completion = Completion::Partial {
-                        completed_rounds: report.rounds,
-                        completed_k_indices: Vec::new(),
-                        reason: InterruptReason::RoundBudget,
-                    };
-                    break;
-                }
-            }
-            if token.is_cancelled() {
-                completion = Completion::Partial {
-                    completed_rounds: report.rounds,
-                    completed_k_indices: Vec::new(),
-                    reason: interrupt_reason(&token),
+        let faults = ClusterFaults::new(&self.detector.solver().config().faults);
+        let mut io = IoStats::default();
+        let mut solve_round =
+            |current: &AugmentedGraph, legit: &[NodeId], spammer: &[NodeId], ctx: &RunContext| {
+                // Worker count is capped by the shrinking graph.
+                let round_config = ClusterConfig {
+                    num_workers: self.cluster_config.num_workers.min(current.num_nodes().max(1)),
+                    ..self.cluster_config
                 };
-                break;
-            }
-            report.rounds += 1;
-            if let Some(b) = budget {
-                if report.num_suspects() >= b {
-                    break;
-                }
-            }
-
-            // Map seeds into residual-graph ids (pruned seeds drop out).
-            let mut current_index = vec![u32::MAX; g.num_nodes()];
-            for (i, &orig) in to_original.iter().enumerate() {
-                current_index[orig.index()] = i as u32;
-            }
-            let map = |ids: &[NodeId]| -> Vec<NodeId> {
-                ids.iter()
-                    .filter_map(|s| {
-                        let m = current_index[s.index()];
-                        (m != u32::MAX).then_some(NodeId(m))
-                    })
-                    .collect()
+                let cluster = Cluster::from_arc(Arc::new(current.clone()), &round_config)?;
+                cluster.arm_faults(faults.clone());
+                let mut source = ShardSource::new(&cluster, &round_config);
+                let outcome = self.detector.solver().solve_with(&mut source, legit, spammer, ctx);
+                io.merge(&source.io());
+                outcome
             };
-            let legit = map(&seeds.legit);
-            let spammer = map(&seeds.spammer);
-
-            // A fresh cluster shards the residual graph each round — the
-            // distributed analogue of re-deriving the RDDs after a prune.
-            // Worker count is capped by the shrinking graph.
-            let round_config = ClusterConfig {
-                num_workers: self.cluster_config.num_workers.min(current.num_nodes().max(1)),
-                ..self.cluster_config
-            };
-            let cluster = Cluster::from_arc(Arc::new(current.clone()), &round_config)?;
-            cluster.arm_faults(faults.clone());
-            let _round_span = self.obs.as_ref().map(|o| o.span("detect/round"));
-            let outcome = self.solver.solve_monitored_on(
-                &cluster,
-                current.num_nodes(),
-                &legit,
-                &spammer,
-                &token,
-            )?;
-            total_io.merge(&outcome.io);
-            report.failures.extend(outcome.failures);
-            if let Completion::Partial { completed_k_indices, .. } = outcome.completion {
-                // The round did not finish; it does not count, and the
-                // sweep progress becomes the partial-report diagnostic.
-                report.rounds -= 1;
-                completion = Completion::Partial {
-                    completed_rounds: report.rounds,
-                    completed_k_indices,
-                    reason: interrupt_reason(&token),
-                };
-                break;
-            }
-            // Resource budget — statement-for-statement mirror of the core
-            // detector's check: would accepting this round's cut condemn
-            // more of the *original* graph than `max_suspect_frac` allows?
-            // Checked before the round is counted so the rollback leaves no
-            // trace in the report, and skipped for cuts the threshold would
-            // discard anyway (the run stops Complete there, not Partial).
-            // The trip is a pure function of input and configuration, so it
-            // is deterministic across worker counts.
-            if let (Some(frac), Some(ac)) =
-                (config.resources.max_suspect_frac, outcome.acceptance_rate)
-            {
-                let admissible = threshold.is_none_or(|t| ac <= t);
-                let after = report
-                    .num_suspects()
-                    .checked_add(outcome.suspects.len())
-                    .expect("suspect count fits in usize");
-                let cap = frac * g.num_nodes() as f64;
-                if admissible && after as f64 > cap {
-                    report.rounds -= 1;
-                    if let Some(obs) = &self.obs {
-                        obs.incr("res/suspect_frac_trips", 1);
-                    }
-                    completion = Completion::Partial {
-                        completed_rounds: report.rounds,
-                        completed_k_indices: Vec::new(),
-                        reason: InterruptReason::ResourceBudget,
-                    };
-                    break;
-                }
-            }
-            // Only completed rounds count — same rule as the core
-            // detector, so interrupted (scheduling-dependent) rounds never
-            // reach the deterministic counters.
-            if let Some(obs) = &self.obs {
-                obs.incr("detect/rounds", 1);
-            }
-            let (Some(ac), Some(k)) = (outcome.acceptance_rate, outcome.k_exact) else {
-                break;
-            };
-            if let Some(t) = threshold {
-                if ac > t {
-                    break;
-                }
-            }
-
-            let local = outcome.suspects;
-            let mut nodes: Vec<NodeId> = local.iter().map(|u| to_original[u.index()]).collect();
-            nodes.sort_unstable();
-            report.groups.push(DetectedGroup {
-                nodes,
-                acceptance_rate: ac,
-                k,
-                round: report.rounds,
-            });
-
-            // Prune the group with its links and rejections.
-            let mut keep = vec![true; current.num_nodes()];
-            for u in &local {
-                keep[u.index()] = false;
-            }
-            let (next, original_of_next) = current.induced_subgraph(&keep);
-            to_original = original_of_next.iter().map(|u| to_original[u.index()]).collect();
-            current = next;
-
-            if let Some(write) = sink.as_mut() {
-                let ckpt = Checkpoint::capture(g, &report);
-                if let Some(obs) = &self.obs {
-                    let bytes = u64::try_from(ckpt.to_json().len())
-                        .expect("checkpoint size fits in u64");
-                    obs.record("detect/checkpoint_bytes", bytes);
-                }
-                if let Err(e) = write(&ckpt) {
-                    report.failures.push(RuntimeError::CheckpointIo {
-                        round: report.rounds,
-                        message: e.to_string(),
-                    });
-                }
-            }
-        }
+        let report =
+            self.detector.run_rounds(g, seeds, termination, resume_from, sink, &mut solve_round)?;
         if let Some(obs) = &self.obs {
-            absorb_io(obs, &total_io);
-            obs.volatile_incr("cancel/polls", token.polls());
+            absorb_io(obs, &io);
         }
-        report.completion = completion;
-        Ok((report, total_io))
+        Ok((report, io))
     }
 }
 

@@ -1,7 +1,8 @@
 //! In-memory distributed-dataflow substrate — the Spark substitute for the
 //! paper's §V prototype and Table-II scalability experiment.
 //!
-//! The paper layers Rejecto on Spark with a specific data layout:
+//! The paper runs the same geometric-`k` sweep of extended KL on Spark and
+//! changes only the data layout:
 //!
 //! * the **master** keeps what must be touched on every move — node status
 //!   (region), potential switching gains, and the bucket list;
@@ -11,19 +12,21 @@
 //!   the top-gain nodes from the bucket list in batches into an LRU buffer,
 //!   turning per-move network round trips into one round trip per batch.
 //!
-//! This crate reproduces that architecture in-process:
+//! This crate reproduces that layout in-process as a second adjacency
+//! source for the algorithm in `kl` and `rejecto_core`:
 //!
-//! * [`Partitioned`] — a minimal RDD-like partitioned dataset with parallel
-//!   `map`/`filter`/`reduce` over a thread pool;
+//! * [`Cluster`] — long-lived worker threads holding graph shards, with
+//!   [`IoStats`] counting simulated master↔worker traffic and a
+//!   [`ClusterError`]-based failure model (respawn from lineage, watchdog
+//!   for hung workers, shard rebalancing onto survivors) instead of panics;
 //! * [`LruCache`] — the prefetch buffer with LRU eviction;
-//! * [`Cluster`] / [`DistributedMaar`] — long-lived worker threads holding
-//!   graph shards, a master running the extended-KL sweep against them, and
-//!   [`IoStats`] counting simulated master↔worker traffic. The Table-II
-//!   harness measures wall time against graph size on this runtime.
-//! * [`DistributedDetector`] — the iterative cut-and-prune pipeline on the
-//!   cluster, with checkpoint/resume and a [`ClusterError`]-based failure
-//!   model (respawn from lineage, watchdog for hung workers, shard
-//!   rebalancing onto survivors) instead of panics.
+//! * a shard-backed `kl::AdjacencySource` over a cluster and one LRU
+//!   buffer per sweep, and the `rejecto_core::SweepBackend` that runs a
+//!   sweep's `k` values on the master against it;
+//! * [`DistributedMaar`] — one MAAR solve on a cluster (the Table-II
+//!   harness measures wall time against graph size with it);
+//! * [`DistributedDetector`] — `rejecto_core::IterativeDetector`'s pruning
+//!   loop with each round's residual graph sharded onto a fresh cluster.
 
 #![forbid(unsafe_code)]
 
@@ -31,10 +34,9 @@ mod cluster;
 mod detect;
 mod error;
 mod lru;
-mod rdd;
+mod source;
 
 pub use cluster::{Cluster, ClusterConfig, DistributedMaar, DistributedOutcome, IoStats};
-pub use detect::{CheckpointSink, DistributedDetector};
+pub use detect::DistributedDetector;
 pub use error::ClusterError;
 pub use lru::LruCache;
-pub use rdd::Partitioned;

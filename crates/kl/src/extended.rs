@@ -1,5 +1,6 @@
-use crate::{BucketList, CancelToken, KParam};
+use crate::{AdjacencySource, BucketList, CancelToken, KParam};
 use rejection::{AugmentedGraph, NodeId, Partition, Region};
+use std::convert::Infallible;
 
 /// Exact conversion for the scaled-objective arithmetic. Weights and
 /// edge counts all live far below `i64::MAX`; if one ever did not, the
@@ -66,6 +67,11 @@ pub struct KlOutcome {
 /// edges", then commits the prefix of switches with the largest positive
 /// cumulative gain. Passes repeat until no positive prefix exists.
 ///
+/// The graph is read only through the [`AdjacencySource`] `S`: an
+/// in-memory [`AugmentedGraph`] (the default, run with [`ExtendedKl::run`])
+/// or a remote source such as the §V cluster (run with
+/// [`ExtendedKl::try_run`], which surfaces its read errors).
+///
 /// ```
 /// use kl::{ExtendedKl, ExtendedKlConfig, KParam};
 /// use rejection::{AugmentedGraphBuilder, NodeId, Partition};
@@ -82,18 +88,25 @@ pub struct KlOutcome {
 /// assert_eq!(out.partition.suspects(), vec![NodeId(2)]);
 /// ```
 #[derive(Debug, Clone)]
-pub struct ExtendedKl<'a> {
-    g: &'a AugmentedGraph,
+pub struct ExtendedKl<'a, S: AdjacencySource = AugmentedGraph> {
+    src: &'a S,
     cfg: ExtendedKlConfig,
     locked: Vec<bool>,
     cancel: Option<CancelToken>,
     obs: Option<rejecto_obs::Obs>,
 }
 
-impl<'a> ExtendedKl<'a> {
-    /// Creates a solver over `g` with no locked nodes.
-    pub fn new(g: &'a AugmentedGraph, cfg: ExtendedKlConfig) -> Self {
-        ExtendedKl { g, cfg, locked: vec![false; g.num_nodes()], cancel: None, obs: None }
+/// One tentative move of a pass: the node and the
+/// `(Δcross_friendships, Δcross_rejections)` it caused, which also fix its
+/// gain. The deltas are recorded while the node's adjacency is at hand, so
+/// committing the best prefix replays counters without reading the graph
+/// again.
+type Move = (u32, i32, i32);
+
+impl<'a, S: AdjacencySource> ExtendedKl<'a, S> {
+    /// Creates a solver over `src` with no locked nodes.
+    pub fn new(src: &'a S, cfg: ExtendedKlConfig) -> Self {
+        ExtendedKl { src, cfg, locked: vec![false; src.num_nodes()], cancel: None, obs: None }
     }
 
     /// Attaches a [`CancelToken`] polled at every pass boundary. Each pass
@@ -139,35 +152,23 @@ impl<'a> ExtendedKl<'a> {
         den * obj_i64(p.cross_friendships()) - num * obj_i64(p.cross_rejections())
     }
 
-    /// Gain (objective reduction) of switching `u` in `p`.
-    fn gain(&self, p: &Partition, u: NodeId) -> i64 {
-        let (df, dr) = p.switch_delta(self.g, u);
-        obj_i64(self.cfg.k.num()) * dr - obj_i64(self.cfg.k.den()) * df
-    }
-
-    /// Largest possible |gain| over all nodes, used to size the bucket list.
-    fn gain_bound(&self) -> i64 {
-        let den = obj_i64(self.cfg.k.den());
-        let num = obj_i64(self.cfg.k.num());
-        let mut bound = 1i64;
-        for u in self.g.nodes() {
-            let b = den * obj_i64(self.g.friend_degree(u))
-                + num * obj_i64(self.g.rejectors_of(u).len() + self.g.rejected_by(u).len());
-            bound = bound.max(b);
-        }
-        bound
-    }
-
-    /// Runs the optimization from `initial` and returns the refined
-    /// partition.
+    /// Runs the optimization from the region assignment `initial` and
+    /// returns the refined partition, reading the graph only through the
+    /// source.
+    ///
+    /// # Errors
+    ///
+    /// The first error the source reports; the run stops there.
     ///
     /// # Panics
     ///
-    /// Panics if `initial` does not cover exactly the nodes of the graph.
-    pub fn run(&self, initial: Partition) -> KlOutcome {
-        assert_eq!(initial.len(), self.g.num_nodes(), "partition size mismatch");
-        let mut p = initial;
-        let bound = self.gain_bound();
+    /// Panics if `initial` does not cover exactly the nodes of the source.
+    pub fn try_run(&self, initial: Vec<Region>) -> Result<KlOutcome, S::Error> {
+        assert_eq!(initial.len(), self.src.num_nodes(), "partition size mismatch");
+        let mut region = initial;
+        let (mut cf, mut cr) = self.src.cut_counts(&region)?;
+        let bound = self.src.gain_bound(self.cfg.k);
+        let mut seq: Vec<Move> = Vec::with_capacity(region.len());
         let mut passes = 0usize;
         let mut moves_committed = 0u64;
         let mut bucket_adjusts = 0u64;
@@ -182,16 +183,15 @@ impl<'a> ExtendedKl<'a> {
             }
             passes += 1;
             let _pass_span = self.obs.as_ref().map(|o| o.span("detect/round/sweep/k_index/kl_pass"));
-            let (seq, best_prefix, adjusts) = self.one_pass(&p, bound);
+            let (best_prefix, adjusts) = self.one_pass(&region, bound, &mut seq)?;
             bucket_adjusts += adjusts;
-            match best_prefix {
-                Some(end) => {
-                    for &(u, _) in &seq[..=end] {
-                        p.switch(self.g, NodeId(u));
-                        moves_committed += 1;
-                    }
-                }
-                None => break,
+            let Some(end) = best_prefix else { break };
+            for &(u, df, dr) in &seq[..=end] {
+                let slot = &mut region[NodeId(u).index()];
+                *slot = slot.other();
+                cf = cf.checked_add_signed(df.into()).expect("cross friendship counter underflow");
+                cr = cr.checked_add_signed(dr.into()).expect("cross rejection counter underflow");
+                moves_committed += 1;
             }
         }
 
@@ -202,115 +202,154 @@ impl<'a> ExtendedKl<'a> {
             obs.incr("kl/moves_committed", moves_committed);
             obs.incr("kl/bucket_adjusts", bucket_adjusts);
         }
-        let objective = self.objective(&p);
-        KlOutcome { partition: p, objective, passes, moves_committed, interrupted }
+        #[cfg(feature = "debug-invariants")]
+        self.check_cut_counts(&region, (cf, cr));
+        let partition = Partition::from_counted(region, cf, cr);
+        let objective = self.objective(&partition);
+        Ok(KlOutcome { partition, objective, passes, moves_committed, interrupted })
     }
 
     /// Verifies the incremental gain index against recomputation from
     /// scratch: every node still indexed in `bucket` must carry exactly the
-    /// gain [`Partition::switch_delta`] derives under `p`, and the bucket's
-    /// own chain structure must be sound ([`BucketList::assert_consistent`]).
-    /// This is the full-strength version of the spot check `one_pass` makes
-    /// at pop time — `O(n·deg)` per call, so it is compiled only under the
-    /// `debug-invariants` feature, where `one_pass` runs it after the
-    /// initial fill and after every move's neighbor adjustments. Public so
-    /// tests can aim it at a deliberately corrupted index.
+    /// gain the source's [`AdjacencySource::initial_gains`] derives under
+    /// `p`, and the bucket's own chain structure must be sound
+    /// ([`BucketList::assert_consistent`]). This is the full-strength
+    /// version of the spot check `one_pass` makes at pop time — `O(n·deg)`
+    /// per call, so it is compiled only under the `debug-invariants`
+    /// feature, where `one_pass` runs it after the initial fill and after
+    /// every move's neighbor adjustments. Public so tests can aim it at a
+    /// deliberately corrupted index.
     ///
     /// # Panics
     ///
     /// Panics on the first indexed node whose gain disagrees with the
-    /// recomputed value, or on bucket-chain corruption.
+    /// recomputed value, on bucket-chain corruption, or when the source
+    /// cannot recompute the gains.
     #[cfg(feature = "debug-invariants")]
     pub fn assert_gain_index(&self, p: &Partition, bucket: &BucketList) {
-        bucket.assert_consistent();
-        for u in self.g.nodes() {
-            if !bucket.contains(u.0) {
-                continue;
-            }
-            let fresh = self.gain(p, u);
-            let indexed = bucket.gain_of(u.0);
-            assert_eq!(
-                indexed, fresh,
-                "gain index corrupt: node {u} indexed at {indexed}, recomputed {fresh}"
-            );
-        }
+        self.check_gain_index(p.regions(), bucket);
     }
 
-    /// One greedy pass: returns the full switching sequence with per-move
-    /// gains, the index of the best strictly positive prefix (if any), and
-    /// the number of incremental gain-bucket adjustments performed.
-    fn one_pass(&self, p: &Partition, bound: i64) -> (Vec<(u32, i64)>, Option<usize>, u64) {
-        let g = self.g;
+    #[cfg(feature = "debug-invariants")]
+    fn check_gain_index(&self, region: &[Region], bucket: &BucketList) {
+        let fresh = self.src.initial_gains(region, self.cfg.k).ok();
+        crate::invariants::assert_gains_match(bucket, fresh.as_deref());
+    }
+
+    /// Checks the committed cut counters against the source's recount.
+    #[cfg(feature = "debug-invariants")]
+    fn check_cut_counts(&self, region: &[Region], counted: (u64, u64)) {
+        crate::invariants::assert_cut_counts_match(counted, self.src.cut_counts(region).ok());
+    }
+
+    /// One greedy pass from `region`: fills `seq` with the full switching
+    /// sequence and returns the index of the best strictly positive prefix
+    /// (if any) and the number of incremental gain-bucket adjustments.
+    fn one_pass(
+        &self,
+        region: &[Region],
+        bound: i64,
+        seq: &mut Vec<Move>,
+    ) -> Result<(Option<usize>, u64), S::Error> {
         let num = obj_i64(self.cfg.k.num());
         let den = obj_i64(self.cfg.k.den());
-        let mut p_tmp = p.clone();
-        let mut bucket = BucketList::new(g.num_nodes(), -bound, bound);
-        for u in g.nodes() {
-            if !self.locked[u.index()] {
-                bucket.insert(u.0, self.gain(&p_tmp, u));
+        let mut tmp = region.to_vec();
+        let mut bucket = BucketList::new(tmp.len(), -bound, bound);
+        let gains = self.src.initial_gains(&tmp, self.cfg.k)?;
+        for ((u, gain), &locked) in (0u32..).zip(gains).zip(&self.locked) {
+            if !locked {
+                bucket.insert(u, gain);
             }
         }
         #[cfg(feature = "debug-invariants")]
-        self.assert_gain_index(&p_tmp, &bucket);
+        self.check_gain_index(&tmp, &bucket);
 
-        let mut seq: Vec<(u32, i64)> = Vec::with_capacity(bucket.len());
+        seq.clear();
+        let narrow = |d: i64| i32::try_from(d).expect("a switch delta is bounded by a degree");
         let mut adjusts = 0u64;
-        while let Some((u, gain)) = bucket.pop_max() {
-            let u_id = NodeId(u);
-            debug_assert_eq!(
-                gain,
-                self.gain(&p_tmp, u_id),
-                "stale gain for node {u} — incremental update bug"
-            );
-            seq.push((u, gain));
-            let from = p_tmp.region(u_id);
-            let now_in = p_tmp.switch(g, u_id);
-
-            // Incremental gain updates for u's still-indexed neighbors.
-            // Friendship edges: the (v, u) term of v's Δfriendship flips.
-            for &v in g.friends(u_id) {
-                if bucket.contains(v.0) {
-                    let t = if p_tmp.region(v) == from { 1 } else { -1 };
-                    bucket.adjust(v.0, 2 * den * t);
-                    adjusts += 1;
-                }
+        while !bucket.is_empty() {
+            let batch = self.src.prefetch(&mut bucket)?;
+            for _ in 0..batch {
+                let Some((u, gain)) = bucket.pop_max() else { break };
+                let u_id = NodeId(u);
+                let from = tmp[u_id.index()];
+                let now_in = from.other();
+                let delta = self.src.with_neighbours(u_id, |adj| {
+                    let delta = adj.switch_delta(u_id, &tmp);
+                    tmp[u_id.index()] = now_in;
+                    // Incremental gain updates for u's still-indexed
+                    // neighbors. Friendship edges: the (v, u) term of v's
+                    // Δfriendship flips.
+                    for &v in adj.friends {
+                        let v: NodeId = v.into();
+                        if bucket.contains(v.0) {
+                            let t = if tmp[v.index()] == from { 1 } else { -1 };
+                            bucket.adjust(v.0, 2 * den * t);
+                            adjusts += 1;
+                        }
+                    }
+                    // u rejected v  ⇒  u is a rejector of v: v's "rejectors
+                    // in Legit" count changed by ±1.
+                    for &v in adj.rejected_by {
+                        let v: NodeId = v.into();
+                        if bucket.contains(v.0) {
+                            let da = if now_in == Region::Legit { 1 } else { -1 };
+                            let s_v = if tmp[v.index()] == Region::Legit { 1 } else { -1 };
+                            bucket.adjust(v.0, num * s_v * da);
+                            adjusts += 1;
+                        }
+                    }
+                    // v rejected u  ⇒  u is in v's rejected set: v's
+                    // "rejectees in Suspect" count changed by ±1.
+                    for &v in adj.rejectors_of {
+                        let v: NodeId = v.into();
+                        if bucket.contains(v.0) {
+                            let db = if now_in == Region::Suspect { 1 } else { -1 };
+                            let s_v = if tmp[v.index()] == Region::Legit { 1 } else { -1 };
+                            bucket.adjust(v.0, -num * s_v * db);
+                            adjusts += 1;
+                        }
+                    }
+                    delta
+                })?;
+                debug_assert_eq!(
+                    gain,
+                    self.cfg.k.gain(delta),
+                    "stale gain for node {u} — incremental update bug"
+                );
+                seq.push((u, narrow(delta.0), narrow(delta.1)));
+                #[cfg(feature = "debug-invariants")]
+                self.check_gain_index(&tmp, &bucket);
             }
-            // u rejected v  ⇒  u is a rejector of v: v's "rejectors in
-            // Legit" count changed by ±1.
-            for &v in g.rejected_by(u_id) {
-                if bucket.contains(v.0) {
-                    let da = if now_in == Region::Legit { 1 } else { -1 };
-                    let s_v = if p_tmp.region(v) == Region::Legit { 1 } else { -1 };
-                    bucket.adjust(v.0, num * s_v * da);
-                    adjusts += 1;
-                }
-            }
-            // v rejected u  ⇒  u is in v's rejected set: v's "rejectees in
-            // Suspect" count changed by ±1.
-            for &v in g.rejectors_of(u_id) {
-                if bucket.contains(v.0) {
-                    let db = if now_in == Region::Suspect { 1 } else { -1 };
-                    let s_v = if p_tmp.region(v) == Region::Legit { 1 } else { -1 };
-                    bucket.adjust(v.0, -num * s_v * db);
-                    adjusts += 1;
-                }
-            }
-            #[cfg(feature = "debug-invariants")]
-            self.assert_gain_index(&p_tmp, &bucket);
         }
 
         // Best strictly positive cumulative-gain prefix.
         let mut best: Option<usize> = None;
         let mut best_gain = 0i64;
         let mut cum = 0i64;
-        for (i, &(_, gain)) in seq.iter().enumerate() {
-            cum += gain;
+        for (i, &(_, df, dr)) in seq.iter().enumerate() {
+            cum += self.cfg.k.gain((df.into(), dr.into()));
             if cum > best_gain {
                 best_gain = cum;
                 best = Some(i);
             }
         }
-        (seq, best, adjusts)
+        Ok((best, adjusts))
+    }
+}
+
+impl<S: AdjacencySource<Error = Infallible>> ExtendedKl<'_, S> {
+    /// Runs the optimization from `initial` and returns the refined
+    /// partition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `initial` does not cover exactly the nodes of the graph.
+    pub fn run(&self, initial: Partition) -> KlOutcome {
+        match self.try_run(initial.into_regions()) {
+            Ok(out) => out,
+            Err(never) => match never {},
+        }
     }
 }
 

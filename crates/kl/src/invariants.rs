@@ -56,3 +56,39 @@ pub fn assert_bucket_consistent(b: &BucketList) {
     let present = b.present.iter().filter(|&&p| p).count();
     assert_eq!(present, b.len, "{present} present flags but len = {}", b.len);
 }
+
+/// Checks the gain index against gains recomputed from scratch: the chain
+/// structure must be sound ([`assert_bucket_consistent`]) and every node
+/// still indexed must carry exactly its recomputed gain. `fresh` is `None`
+/// when the adjacency source could not recompute the gains.
+///
+/// # Panics
+///
+/// Panics on structural corruption, on the first indexed node whose gain
+/// disagrees, or when there is nothing to check against.
+pub fn assert_gains_match(b: &BucketList, fresh: Option<&[i64]>) {
+    assert_bucket_consistent(b);
+    let fresh = fresh.expect("gain index check: the adjacency source could not recompute gains");
+    for (u, &fresh) in (0u32..).zip(fresh) {
+        if !b.contains(u) {
+            continue;
+        }
+        let indexed = b.gain_of(u);
+        assert_eq!(
+            indexed, fresh,
+            "gain index corrupt: node {u} indexed at {indexed}, recomputed {fresh}"
+        );
+    }
+}
+
+/// Checks incrementally committed `(cross_friendships, cross_rejections)`
+/// against the adjacency source's recount (`None` when it could not
+/// recount).
+///
+/// # Panics
+///
+/// Panics when the counters drifted or there is nothing to check against.
+pub fn assert_cut_counts_match(counted: (u64, u64), fresh: Option<(u64, u64)>) {
+    let fresh = fresh.expect("cut check: the adjacency source could not recount the cut");
+    assert_eq!(counted, fresh, "committed cut counters drifted from the recount");
+}

@@ -56,6 +56,20 @@ impl KParam {
         self.den
     }
 
+    /// The switching gain (objective reduction, scaled by `den`) of a move
+    /// whose `(Δcross_friendships, Δcross_rejections)` is `delta`:
+    /// `num·ΔR − den·ΔF`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `num` or `den` exceeds the `i64` range.
+    #[inline]
+    pub fn gain(self, (df, dr): (i64, i64)) -> i64 {
+        let num = i64::try_from(self.num).expect("k numerator exceeds i64 range");
+        let den = i64::try_from(self.den).expect("k denominator exceeds i64 range");
+        num * dr - den * df
+    }
+
     /// The value `num/den` as a float.
     pub fn value(&self) -> f64 {
         self.num as f64 / self.den as f64 // xtask-allow: lossy-cast: display-precision conversion only; exact comparisons go through Ord

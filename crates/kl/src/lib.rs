@@ -1,4 +1,4 @@
-//! Kernighan–Lin partitioning, classic and extended (the paper's §IV-C/D).
+//! Extended Kernighan–Lin partitioning (the paper's §IV-C/D).
 //!
 //! Three layers:
 //!
@@ -7,13 +7,16 @@
 //!   insert/remove/update and amortized-`O(1)` max-gain extraction. This is
 //!   the optimization the paper cites for making KL effectively linear-time
 //!   (§IV-C, \[21\]).
-//! * [`classic`] — the textbook Kernighan–Lin bisection with node-*pair*
-//!   interchanges on an undirected graph, kept as a reference
-//!   implementation of the heuristic the paper builds on (Figure 7).
+//! * [`AdjacencySource`] — the only way a KL run reads the graph:
+//!   neighbor slices, initial gains, cut counts, and a prefetch hook before
+//!   each batch of pops. An in-memory [`rejection::AugmentedGraph`] is one
+//!   source; the §V cluster's shard-backed LRU buffer (`dataflow`) is
+//!   another, so the algorithm exists once for both deployments.
 //! * [`ExtendedKl`] — the paper's Algorithm 1: single-node switches on a
 //!   rejection-augmented graph, minimizing the weighted objective
 //!   `|F(Ū,U)| − k·|R⟨Ū,U⟩|` with friendships at weight 1 and rejections at
-//!   weight −k, seed nodes pinned, and the max-gain-prefix commit rule.
+//!   weight −k, seed nodes pinned, and the max-gain-prefix commit rule,
+//!   generic over the [`AdjacencySource`].
 //!
 //! The parameter `k` is a rational [`KParam`] (`num/den`), which keeps every
 //! gain an exact integer `num·ΔR − den·ΔF` — no floating-point tie-break
@@ -23,12 +26,13 @@
 
 mod bucket;
 mod cancel;
-pub mod classic;
 mod extended;
 pub(crate) mod invariants;
 mod kparam;
+mod source;
 
 pub use bucket::BucketList;
 pub use cancel::{CancelReason, CancelToken};
 pub use extended::{ExtendedKl, ExtendedKlConfig, KlOutcome};
 pub use kparam::KParam;
+pub use source::{gain_bound, AdjacencySource};

@@ -1,4 +1,32 @@
+use crate::Adjacency;
 use socialgraph::{Graph, NodeId};
+
+/// Degree summary of one node: what the warm start ranks by, and what
+/// bounds the node's switching gain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Degrees {
+    /// Friendship degree.
+    pub friends: u32,
+    /// Rejections the node received.
+    pub rejections_received: u32,
+    /// Rejections the node cast.
+    pub rejections_cast: u32,
+}
+
+impl Degrees {
+    /// The request *rejection ratio*: rejections received over
+    /// (friendships + rejections received); `None` for a node with
+    /// neither.
+    pub fn rejection_ratio(&self) -> Option<f64> {
+        let f = f64::from(self.friends);
+        let r = f64::from(self.rejections_received);
+        if f + r == 0.0 {
+            None
+        } else {
+            Some(r / (f + r))
+        }
+    }
+}
 
 /// The rejection-augmented social graph `G = (V, F, R⃗)`.
 ///
@@ -71,6 +99,20 @@ impl AugmentedGraph {
         &self.rejectors_of_me[u.index()]
     }
 
+    /// All three adjacency lists of `u` as one slice view.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    #[inline]
+    pub fn adjacency(&self, u: NodeId) -> Adjacency<'_> {
+        Adjacency {
+            friends: &self.friends[u.index()],
+            rejected_by: &self.rejected_by_me[u.index()],
+            rejectors_of: &self.rejectors_of_me[u.index()],
+        }
+    }
+
     /// Friendship degree of `u`.
     ///
     /// # Panics
@@ -128,12 +170,20 @@ impl AugmentedGraph {
     ///
     /// Panics if `u` is out of range.
     pub fn rejection_ratio(&self, u: NodeId) -> Option<f64> {
-        let f = self.friend_degree(u) as f64; // xtask-allow: lossy-cast: a degree is < 2^53 and converts exactly
-        let r = self.rejections_received(u) as f64; // xtask-allow: lossy-cast: a degree is < 2^53 and converts exactly
-        if f + r == 0.0 {
-            None
-        } else {
-            Some(r / (f + r))
+        self.degrees(u).rejection_ratio()
+    }
+
+    /// Friend, received-rejection and cast-rejection degrees of `u`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    pub fn degrees(&self, u: NodeId) -> Degrees {
+        let count = |len: usize| u32::try_from(len).expect("a degree fits the u32 id space");
+        Degrees {
+            friends: count(self.friends[u.index()].len()),
+            rejections_received: count(self.rejectors_of_me[u.index()].len()),
+            rejections_cast: count(self.rejected_by_me[u.index()].len()),
         }
     }
 

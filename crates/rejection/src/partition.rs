@@ -62,27 +62,33 @@ impl Partition {
     /// Panics if `region.len() != g.num_nodes()`.
     pub fn from_regions(g: &AugmentedGraph, region: Vec<Region>) -> Self {
         assert_eq!(region.len(), g.num_nodes(), "region vector has wrong length");
-        let suspect_count = region.iter().filter(|&&r| r == Region::Suspect).count();
         let mut cross_friendships = 0u64;
         let mut cross_rejections = 0u64;
         for u in g.nodes() {
-            for &v in g.friends(u) {
-                if u < v && region[u.index()] != region[v.index()] {
-                    cross_friendships = cross_friendships
-                        .checked_add(1)
-                        .expect("cross friendship counter fits in u64");
-                }
-            }
-            if region[u.index()] == Region::Legit {
-                for &v in g.rejected_by(u) {
-                    if region[v.index()] == Region::Suspect {
-                        cross_rejections = cross_rejections
-                            .checked_add(1)
-                            .expect("cross rejection counter fits in u64");
-                    }
-                }
-            }
+            let (f, r) = g.adjacency(u).cut_share(u, &region);
+            cross_friendships = cross_friendships
+                .checked_add(f)
+                .expect("cross friendship counter fits in u64");
+            cross_rejections = cross_rejections
+                .checked_add(r)
+                .expect("cross rejection counter fits in u64");
         }
+        Self::from_counted(region, cross_friendships, cross_rejections)
+    }
+
+    /// Builds a partition from a region vector and its already-known cut
+    /// counters, skipping the `O(E)` recount of [`Partition::from_regions`].
+    /// For partitioners that maintain the counters incrementally (the
+    /// extended-KL commit) and may not hold the graph at all (the
+    /// distributed master). The counters are trusted: passing values that
+    /// disagree with the graph's cut yields a partition whose acceptance
+    /// rate is wrong.
+    pub fn from_counted(
+        region: Vec<Region>,
+        cross_friendships: u64,
+        cross_rejections: u64,
+    ) -> Self {
+        let suspect_count = region.iter().filter(|&&r| r == Region::Suspect).count();
         Partition { region, suspect_count, cross_friendships, cross_rejections }
     }
 
@@ -104,6 +110,17 @@ impl Partition {
     #[inline]
     pub fn region(&self, u: NodeId) -> Region {
         self.region[u.index()]
+    }
+
+    /// The region of every node, indexed by id.
+    #[inline]
+    pub fn regions(&self) -> &[Region] {
+        &self.region
+    }
+
+    /// Consumes the partition, returning its region vector.
+    pub fn into_regions(self) -> Vec<Region> {
+        self.region
     }
 
     /// Number of nodes in the suspect region.
@@ -200,12 +217,41 @@ impl Partition {
     ///
     /// Panics if `u` is out of range.
     pub fn switch_delta(&self, g: &AugmentedGraph, u: NodeId) -> (i64, i64) {
-        let from = self.region[u.index()];
+        g.adjacency(u).switch_delta(u, &self.region)
+    }
+}
+
+/// The three adjacency lists of one node: the slice view every cut and
+/// gain computation reads, whether the lists live in a local
+/// [`AugmentedGraph`] or were shipped from a remote graph shard. `I` is the
+/// id type the lists are stored in.
+#[derive(Debug, Clone, Copy)]
+pub struct Adjacency<'a, I = NodeId> {
+    /// Friends of the node.
+    pub friends: &'a [I],
+    /// Users whose requests the node rejected.
+    pub rejected_by: &'a [I],
+    /// Users who rejected the node's requests.
+    pub rejectors_of: &'a [I],
+}
+
+impl<I: Copy + Into<NodeId>> Adjacency<'_, I> {
+    /// The `(Δcross_friendships, Δcross_rejections)` that switching `u`
+    /// (whose adjacency this is) would cause under `region`, without
+    /// applying it. This is the primitive the extended-KL gain computation
+    /// builds on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or a neighbor is out of range of `region`.
+    pub fn switch_delta(&self, u: NodeId, region: &[Region]) -> (i64, i64) {
+        let from = region[u.index()];
+        let region_of = |v: I| region[v.into().index()];
         // Friendships: edges to same-region neighbors become cross (+1),
         // edges to other-region neighbors become internal (−1).
         let mut df = 0i64;
-        for &v in g.friends(u) {
-            if self.region[v.index()] == from {
+        for &v in self.friends {
+            if region_of(v) == from {
                 df += 1;
             } else {
                 df -= 1;
@@ -218,32 +264,60 @@ impl Partition {
                 // u: Legit → Suspect.
                 // + rejections u received from Legit users (now Legit→Suspect)
                 // − rejections u cast on Suspect users (no longer Legit→Suspect)
-                for &r in g.rejectors_of(u) {
-                    if self.region[r.index()] == Region::Legit && r != u {
+                for &r in self.rejectors_of {
+                    if region_of(r) == Region::Legit && r.into() != u {
                         dr += 1;
                     }
                 }
-                for &s in g.rejected_by(u) {
-                    if self.region[s.index()] == Region::Suspect {
+                for &s in self.rejected_by {
+                    if region_of(s) == Region::Suspect {
                         dr -= 1;
                     }
                 }
             }
             Region::Suspect => {
                 // u: Suspect → Legit (mirror of the above).
-                for &r in g.rejectors_of(u) {
-                    if self.region[r.index()] == Region::Legit {
+                for &r in self.rejectors_of {
+                    if region_of(r) == Region::Legit {
                         dr -= 1;
                     }
                 }
-                for &s in g.rejected_by(u) {
-                    if self.region[s.index()] == Region::Suspect && s != u {
+                for &s in self.rejected_by {
+                    if region_of(s) == Region::Suspect && s.into() != u {
                         dr += 1;
                     }
                 }
             }
         }
         (df, dr)
+    }
+
+    /// `u`'s share of the cut counters under `region`: friendships to
+    /// higher-id neighbors across the cut (so summing over all nodes counts
+    /// each friendship once), and — when `u` is Legit — the rejections it
+    /// cast on Suspect users.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or a neighbor is out of range of `region`.
+    pub fn cut_share(&self, u: NodeId, region: &[Region]) -> (u64, u64) {
+        let ru = region[u.index()];
+        let mut friendships = 0u64;
+        for &v in self.friends {
+            let v = v.into();
+            if u < v && ru != region[v.index()] {
+                friendships += 1;
+            }
+        }
+        let mut rejections = 0u64;
+        if ru == Region::Legit {
+            for &s in self.rejected_by {
+                if region[s.into().index()] == Region::Suspect {
+                    rejections += 1;
+                }
+            }
+        }
+        (friendships, rejections)
     }
 }
 

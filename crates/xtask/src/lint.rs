@@ -116,13 +116,10 @@ pub const RNG_EXEMPT_CRATES: &[&str] = &["bench"];
 /// The only first-party modules allowed to spawn OS threads
 /// (**no-ad-hoc-threads**). Everything else must route parallelism
 /// through these: `core/pool.rs` is the deterministic MAAR-sweep worker
-/// pool; the `dataflow` pair is the scoped map/reduce substrate and the
-/// master/worker cluster. Repo-relative paths.
-pub const THREAD_POOL_MODULES: &[&str] = &[
-    "crates/core/src/pool.rs",
-    "crates/dataflow/src/cluster.rs",
-    "crates/dataflow/src/rdd.rs",
-];
+/// pool; `dataflow/cluster.rs` is the master/worker cluster.
+/// Repo-relative paths.
+pub const THREAD_POOL_MODULES: &[&str] =
+    &["crates/core/src/pool.rs", "crates/dataflow/src/cluster.rs"];
 
 /// Crates whose runtime paths are subject to **float-determinism**: the
 /// detection kernels and every ranking baseline whose scores get compared
@@ -142,14 +139,17 @@ pub const LOSSY_CAST_CRATES: &[&str] = &["kl", "core", "sybilrank", "votetrust"]
 /// audit individually: the hostile-input ingest and cut-bookkeeping paths,
 /// where a silently wrapping degree or cut counter is an adversarial
 /// primitive (feed crafted edges until a counter wraps) rather than a
-/// cosmetic bug. Repo-relative paths; the rest of `socialgraph` and
-/// `dataflow` still carry legacy index casts and join in a later pass.
+/// cosmetic bug — plus the cluster's adjacency source, whose gain-bound
+/// arithmetic is kernel arithmetic. Repo-relative paths; the rest of
+/// `socialgraph` and `dataflow` still carry legacy index casts and join in
+/// a later pass.
 pub const LOSSY_CAST_MODULES: &[&str] = &[
     "crates/socialgraph/src/graph.rs",
     "crates/socialgraph/src/io.rs",
     "crates/rejection/src/augmented.rs",
     "crates/rejection/src/partition.rs",
     "crates/rejection/src/io.rs",
+    "crates/dataflow/src/source.rs",
 ];
 
 /// Crates exempt from **obs-discipline**: `obs` *is* the observability
@@ -181,11 +181,10 @@ pub const REASON_REQUIRED_RULES: &[&str] = &["lossy-cast", "obs-discipline", "du
 /// Crates whose runtime paths are subject to **channel-discipline**.
 pub const CHANNEL_CRATES: &[&str] = &["dataflow"];
 
-/// The sanctioned homes for lock primitives inside the
-/// [`CHANNEL_CRATES`]: the cluster master/worker runtime and the scoped
-/// map/reduce substrate. Repo-relative paths.
-pub const SYNC_PRIMITIVE_MODULES: &[&str] =
-    &["crates/dataflow/src/cluster.rs", "crates/dataflow/src/rdd.rs"];
+/// The sanctioned home for lock primitives inside the
+/// [`CHANNEL_CRATES`]: the cluster master/worker runtime. Repo-relative
+/// paths.
+pub const SYNC_PRIMITIVE_MODULES: &[&str] = &["crates/dataflow/src/cluster.rs"];
 
 /// Every rule name `xtask-allow:` accepts. `dead-pragma` is listed (so a
 /// pragma naming it parses) but is itself never suppressible.

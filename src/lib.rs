@@ -15,13 +15,13 @@
 //! |---|---|
 //! | [`socialgraph`] | graph substrate: storage, generators, sampling, metrics, I/O |
 //! | [`rejection`] | the augmented graph `G = (V, F, R⃗)` and cut bookkeeping |
-//! | [`kl`] | bucket list, classic KL, and the paper's extended KL |
+//! | [`kl`] | bucket list and the paper's extended KL over an adjacency source |
 //! | [`rejecto_core`] | MAAR solver, iterative detection, seeds |
 //! | [`votetrust`] | the VoteTrust baseline (INFOCOM'13) |
 //! | [`sybilrank`] | SybilRank (NSDI'12) for the defense-in-depth pipeline |
 //! | [`simulator`] | the §VI-A attack/workload simulator |
 //! | [`eval`] | precision/recall, ROC/AUC, CDFs |
-//! | [`dataflow`] | the Spark-substitute master/worker runtime (§V) |
+//! | [`dataflow`] | the Spark-substitute master/worker runtime (§V): a shard-backed adjacency source |
 //!
 //! # Quickstart
 //!

@@ -5,8 +5,9 @@
 //! yield a well-formed `Completion::Partial`, never a crash).
 
 use rejecto::dataflow::{ClusterConfig, DistributedDetector};
+use rejecto::rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeId};
 use rejecto::rejecto_core::{
-    Checkpoint, FaultPlan, RejectoConfig, RuntimeError, Seeds, Termination,
+    Checkpoint, FaultPlan, IterativeDetector, RejectoConfig, RuntimeError, Seeds, Termination,
 };
 use rejecto::simulator::{Scenario, ScenarioConfig, SimOutput};
 use rejecto::socialgraph::surrogates::Surrogate;
@@ -210,4 +211,63 @@ fn losing_every_worker_surfaces_as_cluster_failed() {
         }
         other => panic!("expected ClusterFailed, got {other}"),
     }
+}
+
+/// Legit clique (0–3); fake group A (4–5) rejected hard by legit; fake
+/// group B (6–7) whitewashed by rejecting A's requests. Detection takes
+/// several rounds, the first of which writes a checkpoint.
+fn self_rejection_graph() -> AugmentedGraph {
+    let mut b = AugmentedGraphBuilder::new(8);
+    for u in 0..4u32 {
+        for v in (u + 1)..4 {
+            b.add_friendship(NodeId(u), NodeId(v));
+        }
+    }
+    b.add_friendship(NodeId(4), NodeId(5));
+    b.add_friendship(NodeId(6), NodeId(7));
+    b.add_friendship(NodeId(0), NodeId(4));
+    b.add_friendship(NodeId(1), NodeId(6));
+    for (r, s) in [(0, 5), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)] {
+        b.add_rejection(NodeId(r), NodeId(s));
+    }
+    for (r, s) in [(6, 4), (6, 5), (7, 4), (7, 5)] {
+        b.add_rejection(NodeId(r), NodeId(s));
+    }
+    b.add_rejection(NodeId(2), NodeId(6));
+    b.add_rejection(NodeId(3), NodeId(7));
+    b.add_rejection(NodeId(0), NodeId(7));
+    b.build()
+}
+
+#[test]
+fn injected_checkpoint_io_error_is_recorded_like_the_local_run() {
+    let g = self_rejection_graph();
+    let config = RejectoConfig { faults: plan("io_error@round=1"), ..RejectoConfig::default() };
+    let termination = Termination::SuspectBudget(8);
+
+    let mut local_saved: Vec<Checkpoint> = Vec::new();
+    let local = IterativeDetector::new(config.clone()).detect_with_checkpoints(
+        &g,
+        &Seeds::default(),
+        termination,
+        &mut |c| {
+            local_saved.push(c.clone());
+            Ok(())
+        },
+    );
+    let mut dist_saved: Vec<Checkpoint> = Vec::new();
+    let dist = DistributedDetector::new(snappy(2), config)
+        .detect_with_checkpoints(&g, &Seeds::default(), termination, &mut |c| {
+            dist_saved.push(c.clone());
+            Ok(())
+        })
+        .expect("healthy cluster must detect");
+
+    assert!(
+        dist.failures.iter().any(|f| matches!(f, RuntimeError::CheckpointIo { round: 1, .. })),
+        "the injected round-1 checkpoint failure was not recorded: {:?}",
+        dist.failures
+    );
+    assert_eq!(dist, local, "distributed report diverged from the local run");
+    assert_eq!(dist_saved, local_saved, "the runtimes saved different checkpoints");
 }

@@ -2,8 +2,9 @@
 //! solver: identical cuts on varied scenarios, cluster shapes, and buffer
 //! configurations.
 
-use rejecto::dataflow::{ClusterConfig, DistributedMaar};
-use rejecto::rejecto_core::{MaarSolver, RejectoConfig};
+use rejecto::dataflow::{ClusterConfig, DistributedDetector, DistributedMaar};
+use rejecto::rejection::{AugmentedGraphBuilder, NodeId};
+use rejecto::rejecto_core::{IterativeDetector, MaarSolver, RejectoConfig, Seeds, Termination};
 use rejecto::simulator::{Scenario, ScenarioConfig, SelfRejectionConfig};
 use rejecto::socialgraph::surrogates::Surrogate;
 
@@ -82,4 +83,39 @@ fn parity_with_more_workers_than_meaningful_shards() {
         ClusterConfig { num_workers: 64, ..ClusterConfig::default() },
         25,
     );
+}
+
+#[test]
+fn tiny_graph_suspect_cap_clamps_to_one_on_the_cluster() {
+    // Triangle 0–1–2; node 3 rejected by all three. With
+    // max_suspect_fraction 0.2 an unclamped cap floors 0.2 · 4 to 0 and
+    // discards even this single blatant spammer.
+    let mut b = AugmentedGraphBuilder::new(4);
+    b.add_friendship(NodeId(0), NodeId(1));
+    b.add_friendship(NodeId(1), NodeId(2));
+    b.add_friendship(NodeId(0), NodeId(2));
+    for r in 0..3u32 {
+        b.add_rejection(NodeId(r), NodeId(3));
+    }
+    let g = b.build();
+    let config = RejectoConfig { max_suspect_fraction: 0.2, ..RejectoConfig::default() };
+    let cluster = ClusterConfig { num_workers: 2, ..ClusterConfig::default() };
+
+    let local =
+        MaarSolver::new(config.clone()).solve(&g, &[], &[]).expect("clamped cap admits the cut");
+    assert_eq!(local.suspects(), vec![NodeId(3)]);
+    let dist = DistributedMaar::new(cluster, config.clone())
+        .solve(&g)
+        .expect("healthy cluster must solve");
+    assert_eq!(dist.suspects, local.suspects(), "distributed solver lost the clamp");
+
+    let termination = Termination::SuspectBudget(1);
+    let local_report =
+        IterativeDetector::new(config.clone()).detect(&g, &Seeds::default(), termination);
+    assert_eq!(local_report.suspects(), vec![NodeId(3)]);
+    let dist_report = DistributedDetector::new(cluster, config)
+        .detect(&g, &Seeds::default(), termination)
+        .expect("healthy cluster must detect");
+    assert_eq!(dist_report.suspects(), vec![NodeId(3)]);
+    assert_eq!(dist_report, local_report);
 }
