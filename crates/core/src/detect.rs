@@ -301,28 +301,6 @@ impl IterativeDetector {
         self.run(g, seeds, termination, Some(checkpoint), None)
     }
 
-    /// [`IterativeDetector::resume`] with checkpointing of the continued
-    /// rounds.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::CheckpointMismatch`] (and friends) when the
-    /// checkpoint does not describe `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any seed id is out of range of `g`.
-    pub fn resume_with_checkpoints(
-        &self,
-        g: &AugmentedGraph,
-        seeds: &Seeds,
-        termination: Termination,
-        checkpoint: &Checkpoint,
-        sink: CheckpointSink<'_>,
-    ) -> Result<DetectionReport, RuntimeError> {
-        self.run(g, seeds, termination, Some(checkpoint), Some(sink))
-    }
-
     /// Any of the detect/resume × with/without-checkpoints modes: resumes
     /// from `resume_from` when given and checkpoints every completed round
     /// into `sink` when given.
@@ -555,7 +533,7 @@ impl IterativeDetector {
                         .expect("checkpoint size fits in u64");
                     obs.record("detect/checkpoint_bytes", bytes);
                 }
-                let result = if ctx.injector.should_fail_checkpoint(report.rounds) {
+                let result = if ctx.faults.should_fail_checkpoint(report.rounds) {
                     Err(io::Error::other("injected checkpoint I/O error"))
                 } else {
                     write(&ckpt)

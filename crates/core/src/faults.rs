@@ -10,11 +10,11 @@
 //! fault matrix can assert the degraded outputs byte-for-byte.
 //!
 //! A plan is declarative ([`FaultPlan`], parsed from
-//! `--inject worker_panic@k=3,io_error@round=2,deadline=50ms` or the
-//! `REJECTO_INJECT` environment variable) and carried in
-//! [`crate::RejectoConfig::faults`]; the runtime consults a shared
-//! [`FaultInjector`] built from it. An empty plan is free: every probe is
-//! a single cheap check against an empty table.
+//! `--inject worker_panic@k=3,io_error@round=2,deadline=50ms`) and carried
+//! in [`crate::RejectoConfig::faults`]. [`crate::RunContext::armed`] arms
+//! it once per run as a [`FaultInjector`], which every injection point —
+//! sweep pool, checkpoint sink, durable store, cluster master — probes.
+//! An empty plan is free: every probe is a single branch.
 
 use std::fmt;
 use std::sync::{Arc, Mutex};
@@ -69,7 +69,7 @@ pub enum Fault {
     /// `round` (1-based): only the first half of the framed bytes reach
     /// disk, as if the process died mid-write on a filesystem without the
     /// atomic-rename protocol. Parsed from `torn_write@round=<r>`;
-    /// consumed by [`crate::StoreFaults`].
+    /// consumed by the checkpoint store ([`FaultInjector::take_mangle`]).
     TornWrite {
         /// 1-based round whose generation file is truncated.
         round: usize,
@@ -77,7 +77,7 @@ pub enum Fault {
     /// Flip one bit in the middle of the framed checkpoint generation for
     /// round `round` (1-based) before it reaches disk — silent media
     /// corruption that only the CRC32 envelope can catch. Parsed from
-    /// `bit_flip@round=<r>`; consumed by [`crate::StoreFaults`].
+    /// `bit_flip@round=<r>`; consumed like [`Fault::TornWrite`].
     BitFlip {
         /// 1-based round whose generation file is corrupted.
         round: usize,
@@ -197,7 +197,7 @@ impl FaultPlan {
         Ok(())
     }
 
-    /// Parses the CLI/env injection syntax: a comma-separated list of
+    /// Parses the `--inject` syntax: a comma-separated list of
     /// `worker_panic@k=<i>`, `worker_panic@k=<i>:always`,
     /// `io_error@round=<r>`, `deadline=<ms>ms`, the distributed forms
     /// `worker_death@fetch=<n>[:x<m>]` (a repeated-death schedule) and
@@ -298,231 +298,6 @@ impl FaultPlan {
         }
         Ok(plan)
     }
-
-    /// Reads a plan from the `REJECTO_INJECT` environment variable; unset
-    /// or empty means the empty plan.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`FaultPlan::parse`] errors.
-    pub fn from_env() -> Result<FaultPlan, String> {
-        match std::env::var("REJECTO_INJECT") {
-            Ok(spec) => FaultPlan::parse(&spec),
-            Err(_) => Ok(FaultPlan::default()),
-        }
-    }
-}
-
-#[derive(Debug)]
-struct ArmedPanic {
-    k_index: usize,
-    persistent: bool,
-    spent: bool,
-}
-
-#[derive(Debug)]
-struct ArmedIoError {
-    round: usize,
-    spent: bool,
-}
-
-#[derive(Debug)]
-struct InjectorState {
-    panics: Vec<ArmedPanic>,
-    io_errors: Vec<ArmedIoError>,
-}
-
-/// The runtime side of a [`FaultPlan`]: probes the workers and the
-/// checkpoint sink call at their trigger points. Clones share state, so a
-/// one-shot fault fires exactly once per run no matter how many workers
-/// probe it concurrently.
-#[derive(Debug, Clone)]
-pub(crate) struct FaultInjector {
-    inner: Arc<Mutex<InjectorState>>,
-    deadline: Option<Duration>,
-}
-
-impl FaultInjector {
-    /// Arms every fault in `plan` for one run.
-    pub(crate) fn new(plan: &FaultPlan) -> Self {
-        let mut panics = Vec::new();
-        let mut io_errors = Vec::new();
-        let mut deadline: Option<Duration> = None;
-        for &fault in plan.faults() {
-            match fault {
-                Fault::WorkerPanic { k_index, persistent } => {
-                    panics.push(ArmedPanic { k_index, persistent, spent: false });
-                }
-                Fault::CheckpointIoError { round } => {
-                    io_errors.push(ArmedIoError { round, spent: false });
-                }
-                Fault::Deadline { millis } => {
-                    let d = Duration::from_millis(millis);
-                    deadline = Some(deadline.map_or(d, |prev| prev.min(d)));
-                }
-                // Distributed-only injection points; the single-process
-                // runtime has no fetches or cluster requests to kill.
-                // They are consumed by [`ClusterFaults`] instead.
-                Fault::WorkerDeath { .. } | Fault::WorkerHang { .. } => {}
-                // Durable-store injection points, consumed by
-                // [`StoreFaults`] in the checkpoint store.
-                Fault::TornWrite { .. } | Fault::BitFlip { .. } => {}
-            }
-        }
-        FaultInjector {
-            inner: Arc::new(Mutex::new(InjectorState { panics, io_errors })),
-            deadline,
-        }
-    }
-
-    /// The injected wall-clock deadline, if the plan armed one.
-    pub(crate) fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// Whether the worker solving sweep index `k_index` should panic now.
-    /// One-shot faults are consumed by the first probe that fires.
-    pub(crate) fn should_panic(&self, k_index: usize) -> bool {
-        let mut state = self.inner.lock().expect("fault-injector mutex poisoned");
-        for armed in &mut state.panics {
-            if armed.k_index != k_index {
-                continue;
-            }
-            if armed.persistent {
-                return true;
-            }
-            if !armed.spent {
-                armed.spent = true;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Whether the checkpoint write after `round` should fail. Consumed by
-    /// the first probe that fires.
-    pub(crate) fn should_fail_checkpoint(&self, round: usize) -> bool {
-        let mut state = self.inner.lock().expect("fault-injector mutex poisoned");
-        for armed in &mut state.io_errors {
-            if armed.round == round && !armed.spent {
-                armed.spent = true;
-                return true;
-            }
-        }
-        false
-    }
-}
-
-#[derive(Debug)]
-struct ArmedDeath {
-    fetch: u64,
-    deaths: u32,
-    spent: bool,
-}
-
-#[derive(Debug)]
-struct ArmedHang {
-    k_index: usize,
-    spent: bool,
-}
-
-#[derive(Debug)]
-struct ClusterFaultState {
-    deaths: Vec<ArmedDeath>,
-    hangs: Vec<ArmedHang>,
-}
-
-/// The distributed-runtime side of a [`FaultPlan`]: the cluster master
-/// probes it at fetch batches and sweep boundaries. Public (unlike the
-/// crate-private [`FaultInjector`]) because the probing runtime lives in
-/// `crates/dataflow`, outside this crate.
-///
-/// Clones share consumption state, so a schedule fires exactly once per
-/// run regardless of how many rounds or clusters probe it.
-#[derive(Debug, Clone)]
-pub struct ClusterFaults {
-    inner: Arc<Mutex<ClusterFaultState>>,
-    deadline: Option<Duration>,
-}
-
-impl Default for ClusterFaults {
-    fn default() -> Self {
-        ClusterFaults::new(&FaultPlan::default())
-    }
-}
-
-impl ClusterFaults {
-    /// Arms the distributed faults (and the injected deadline) of `plan`.
-    /// Non-distributed faults in the plan are ignored here.
-    pub fn new(plan: &FaultPlan) -> Self {
-        let mut deaths = Vec::new();
-        let mut hangs = Vec::new();
-        let mut deadline: Option<Duration> = None;
-        for &fault in plan.faults() {
-            match fault {
-                Fault::WorkerDeath { fetch, deaths: n } => {
-                    deaths.push(ArmedDeath { fetch, deaths: n, spent: false });
-                }
-                Fault::WorkerHang { k_index } => {
-                    hangs.push(ArmedHang { k_index, spent: false });
-                }
-                Fault::Deadline { millis } => {
-                    let d = Duration::from_millis(millis);
-                    deadline = Some(deadline.map_or(d, |prev| prev.min(d)));
-                }
-                // Single-process injection points, consumed by the
-                // crate-private [`FaultInjector`]; store-level mangles
-                // are consumed by [`StoreFaults`].
-                Fault::WorkerPanic { .. }
-                | Fault::CheckpointIoError { .. }
-                | Fault::TornWrite { .. }
-                | Fault::BitFlip { .. } => {}
-            }
-        }
-        ClusterFaults {
-            inner: Arc::new(Mutex::new(ClusterFaultState { deaths, hangs })),
-            deadline,
-        }
-    }
-
-    /// The injected wall-clock deadline, if the plan armed one.
-    pub fn deadline(&self) -> Option<Duration> {
-        self.deadline
-    }
-
-    /// Whether the plan injects nothing distributed (no deaths, no hangs).
-    pub fn is_empty(&self) -> bool {
-        let state = self.inner.lock().expect("cluster-fault mutex poisoned");
-        state.deaths.is_empty() && state.hangs.is_empty()
-    }
-
-    /// Consecutive worker deaths scheduled to start at fetch batch
-    /// `fetch_seq` (1-based). Consumes the matching schedule: it fires for
-    /// exactly one fetch batch per run.
-    pub fn deaths_at(&self, fetch_seq: u64) -> u32 {
-        let mut state = self.inner.lock().expect("cluster-fault mutex poisoned");
-        let mut total = 0;
-        for armed in &mut state.deaths {
-            if armed.fetch == fetch_seq && !armed.spent {
-                armed.spent = true;
-                total += armed.deaths;
-            }
-        }
-        total
-    }
-
-    /// Whether one request of sweep index `k_index` should hang. One-shot:
-    /// consumed by the first probe that fires.
-    pub fn take_hang(&self, k_index: usize) -> bool {
-        let mut state = self.inner.lock().expect("cluster-fault mutex poisoned");
-        for armed in &mut state.hangs {
-            if armed.k_index == k_index && !armed.spent {
-                armed.spent = true;
-                return true;
-            }
-        }
-        false
-    }
 }
 
 /// How an armed store fault corrupts a just-encoded frame. The store
@@ -536,65 +311,101 @@ pub enum Mangle {
     BitFlip,
 }
 
-#[derive(Debug)]
-struct ArmedMangle {
-    round: usize,
-    mangle: Mangle,
-    spent: bool,
-}
+/// The armed faults in plan order, each with whether it has been spent.
+type Table = Mutex<Vec<(Fault, bool)>>;
 
-/// The durable-store side of a [`FaultPlan`]: the checkpoint store probes
-/// it once per generation write. Public because the CLI builds the store
-/// and arms it from the parsed plan.
+/// A [`FaultPlan`] armed for one run: one shared table of `(fault, spent)`
+/// entries plus the tightest injected deadline. Every injection point
+/// probes this one type — the sweep pool, the checkpoint sink, the durable
+/// store and the §V cluster master — and each probe reads only the entries
+/// of its own kind, so the local runtime never sees cluster faults and the
+/// master never sees pool panics.
 ///
-/// Clones share consumption state, so a mangle fires exactly once per run
-/// no matter how many saves probe it.
-#[derive(Debug, Clone)]
-pub struct StoreFaults {
-    inner: Arc<Mutex<Vec<ArmedMangle>>>,
+/// Clones share the table, so a one-shot fault fires exactly once per run
+/// no matter how many workers, rounds or per-round clusters probe it. The
+/// empty plan arms no table: every probe is then a single branch.
+#[derive(Debug, Clone, Default)]
+pub struct FaultInjector {
+    table: Option<Arc<Table>>,
+    deadline: Option<Duration>,
 }
 
-impl Default for StoreFaults {
-    fn default() -> Self {
-        StoreFaults::new(&FaultPlan::default())
-    }
-}
-
-impl StoreFaults {
-    /// Arms the store-level faults of `plan` (`torn_write@round=N`,
-    /// `bit_flip@round=N`). Other faults in the plan are ignored here.
+impl FaultInjector {
+    /// Arms every fault in `plan` for one run.
     pub fn new(plan: &FaultPlan) -> Self {
-        let mut armed = Vec::new();
-        for &fault in plan.faults() {
-            match fault {
-                Fault::TornWrite { round } => {
-                    armed.push(ArmedMangle { round, mangle: Mangle::TornWrite, spent: false });
-                }
-                Fault::BitFlip { round } => {
-                    armed.push(ArmedMangle { round, mangle: Mangle::BitFlip, spent: false });
-                }
-                _ => {}
-            }
-        }
-        StoreFaults { inner: Arc::new(Mutex::new(armed)) }
+        let deadline = plan
+            .faults()
+            .iter()
+            .filter_map(|f| match *f {
+                Fault::Deadline { millis } => Some(Duration::from_millis(millis)),
+                _ => None,
+            })
+            .min();
+        let table = (!plan.is_empty())
+            .then(|| Arc::new(Mutex::new(plan.faults().iter().map(|&f| (f, false)).collect())));
+        FaultInjector { table, deadline }
     }
 
-    /// Whether the plan arms no store-level faults.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().expect("store-fault mutex poisoned").is_empty()
+    /// The injected wall-clock deadline (the tightest, if the plan armed
+    /// several).
+    pub(crate) fn deadline(&self) -> Option<Duration> {
+        self.deadline
     }
 
-    /// The mangle armed for the generation of `round`, if any. One-shot:
-    /// consumed by the first save that writes that round's generation.
+    /// Fires the first unspent entry, in plan order, that `pick` selects
+    /// and returns what `pick` made of it. Every fault is one-shot except
+    /// a persistent worker panic, which stays armed.
+    fn take<T>(&self, pick: impl Fn(Fault) -> Option<T>) -> Option<T> {
+        let mut table = self.table.as_ref()?.lock().expect("fault-table mutex poisoned");
+        table.iter_mut().filter(|(_, spent)| !*spent).find_map(|(fault, spent)| {
+            let fired = pick(*fault)?;
+            *spent = !matches!(fault, Fault::WorkerPanic { persistent: true, .. });
+            Some(fired)
+        })
+    }
+
+    /// [`FaultInjector::take`] for probes that only ask whether a fault
+    /// fired.
+    fn fires(&self, hit: impl Fn(Fault) -> bool) -> bool {
+        self.take(|f| hit(f).then_some(())).is_some()
+    }
+
+    /// Whether the pool worker solving sweep index `k_index` should panic
+    /// now.
+    pub fn should_panic(&self, k_index: usize) -> bool {
+        self.fires(|f| matches!(f, Fault::WorkerPanic { k_index: k, .. } if k == k_index))
+    }
+
+    /// Whether the checkpoint write after `round` should fail.
+    pub fn should_fail_checkpoint(&self, round: usize) -> bool {
+        self.fires(|f| f == Fault::CheckpointIoError { round })
+    }
+
+    /// Consecutive worker deaths scheduled to start at the cluster's fetch
+    /// batch `fetch_seq` (1-based): every schedule due there, summed. Each
+    /// fires for exactly one fetch batch per run.
+    pub fn deaths_at(&self, fetch_seq: u64) -> u32 {
+        std::iter::from_fn(|| {
+            self.take(|f| match f {
+                Fault::WorkerDeath { fetch, deaths } if fetch == fetch_seq => Some(deaths),
+                _ => None,
+            })
+        })
+        .sum()
+    }
+
+    /// Whether one cluster request of sweep index `k_index` should hang.
+    pub fn take_hang(&self, k_index: usize) -> bool {
+        self.fires(|f| f == Fault::WorkerHang { k_index })
+    }
+
+    /// The mangle armed for the checkpoint generation of `round`, if any.
     pub fn take_mangle(&self, round: usize) -> Option<Mangle> {
-        let mut state = self.inner.lock().expect("store-fault mutex poisoned");
-        for armed in state.iter_mut() {
-            if armed.round == round && !armed.spent {
-                armed.spent = true;
-                return Some(armed.mangle);
-            }
-        }
-        None
+        self.take(|f| match f {
+            Fault::TornWrite { round: r } if r == round => Some(Mangle::TornWrite),
+            Fault::BitFlip { round: r } if r == round => Some(Mangle::BitFlip),
+            _ => None,
+        })
     }
 }
 
@@ -693,37 +504,69 @@ mod tests {
     fn store_faults_are_one_shot_and_shared() {
         let plan = FaultPlan::parse("torn_write@round=2,bit_flip@round=4")
             .expect("spec is well-formed");
-        let faults = StoreFaults::new(&plan);
+        let faults = FaultInjector::new(&plan);
         let clone = faults.clone();
-        assert!(!faults.is_empty());
         assert_eq!(faults.take_mangle(1), None);
         assert_eq!(clone.take_mangle(2), Some(Mangle::TornWrite));
         assert_eq!(faults.take_mangle(2), None, "clone must consume the shared mangle");
         assert_eq!(faults.take_mangle(4), Some(Mangle::BitFlip));
     }
 
-    #[test]
-    fn store_faults_ignore_other_fault_kinds() {
-        let plan = FaultPlan::parse("worker_panic@k=1,worker_death@fetch=2")
-            .expect("spec is well-formed");
-        assert!(StoreFaults::new(&plan).is_empty());
+    /// What every probe reports at sweep index, round and fetch batch 2.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Probes {
+        panic: bool,
+        io_error: bool,
+        deaths: u32,
+        hang: bool,
+        mangle: Option<Mangle>,
+        deadline: Option<Duration>,
+    }
+
+    fn probe_all(faults: &FaultInjector) -> Probes {
+        Probes {
+            panic: faults.should_panic(2),
+            io_error: faults.should_fail_checkpoint(2),
+            deaths: faults.deaths_at(2),
+            hang: faults.take_hang(2),
+            mangle: faults.take_mangle(2),
+            deadline: faults.deadline(),
+        }
     }
 
     #[test]
-    fn injectors_ignore_store_faults() {
-        let plan = FaultPlan::parse("torn_write@round=1,bit_flip@round=2")
-            .expect("spec is well-formed");
-        assert!(ClusterFaults::new(&plan).is_empty());
-        let inj = FaultInjector::new(&plan);
-        assert!(!inj.should_fail_checkpoint(1));
-        assert!(!inj.should_panic(1));
+    fn each_fault_kind_fires_only_its_own_probe() {
+        let quiet = Probes {
+            panic: false,
+            io_error: false,
+            deaths: 0,
+            hang: false,
+            mangle: None,
+            deadline: None,
+        };
+        assert_eq!(probe_all(&FaultInjector::default()), quiet, "the empty plan");
+        for (fault, fires) in [
+            (Fault::WorkerPanic { k_index: 2, persistent: false }, Probes { panic: true, ..quiet }),
+            (Fault::CheckpointIoError { round: 2 }, Probes { io_error: true, ..quiet }),
+            (
+                Fault::Deadline { millis: 2 },
+                Probes { deadline: Some(Duration::from_millis(2)), ..quiet },
+            ),
+            (Fault::WorkerDeath { fetch: 2, deaths: 3 }, Probes { deaths: 3, ..quiet }),
+            (Fault::WorkerHang { k_index: 2 }, Probes { hang: true, ..quiet }),
+            (Fault::TornWrite { round: 2 }, Probes { mangle: Some(Mangle::TornWrite), ..quiet }),
+            (Fault::BitFlip { round: 2 }, Probes { mangle: Some(Mangle::BitFlip), ..quiet }),
+        ] {
+            let mut plan = FaultPlan::none();
+            plan.push(fault);
+            assert_eq!(probe_all(&FaultInjector::new(&plan)), fires, "{fault}");
+        }
     }
 
     #[test]
     fn cluster_faults_consume_death_schedules_once() {
         let plan = FaultPlan::parse("worker_death@fetch=2:x3").expect("spec is well-formed");
-        let faults = ClusterFaults::new(&plan);
-        assert!(!faults.is_empty());
+        let faults = FaultInjector::new(&plan);
         assert_eq!(faults.deaths_at(1), 0);
         assert_eq!(faults.deaths_at(2), 3);
         assert_eq!(faults.deaths_at(2), 0, "a schedule fires for one fetch batch only");
@@ -732,18 +575,12 @@ mod tests {
     #[test]
     fn cluster_faults_hangs_are_one_shot_and_shared() {
         let plan = FaultPlan::parse("worker_hang@k=4,deadline=30ms").expect("spec is well-formed");
-        let faults = ClusterFaults::new(&plan);
+        let faults = FaultInjector::new(&plan);
         let clone = faults.clone();
         assert_eq!(faults.deadline(), Some(Duration::from_millis(30)));
         assert!(!faults.take_hang(3));
         assert!(clone.take_hang(4));
         assert!(!faults.take_hang(4), "clone must consume the shared hang");
-    }
-
-    #[test]
-    fn cluster_faults_ignore_single_process_faults() {
-        let plan = FaultPlan::parse("worker_panic@k=1,io_error@round=2").expect("well-formed");
-        assert!(ClusterFaults::new(&plan).is_empty());
     }
 
     #[test]

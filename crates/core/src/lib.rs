@@ -58,7 +58,7 @@ pub use detect::{
     CheckpointSink, Completion, DetectedGroup, DetectionReport, InterruptReason,
     IterativeDetector, RoundSolver, Seeds, Termination,
 };
-pub use faults::{ClusterFaults, Fault, FaultPlan, Mangle, StoreFaults};
+pub use faults::{Fault, FaultInjector, FaultPlan, Mangle};
 /// Re-exported so report consumers can name the exact rational sweep
 /// parameter [`DetectedGroup::k`] carries without depending on `kl`.
 pub use kl::KParam;

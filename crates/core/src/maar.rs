@@ -125,7 +125,7 @@ impl SweepBackend for PoolBackend<'_> {
         job: &KJob<'_, AugmentedGraph>,
     ) -> Result<Vec<JobOutcome<KResult>>, Infallible> {
         let solve_one = |i: usize| -> KResult {
-            if ctx.injector.should_panic(i) {
+            if ctx.faults.should_panic(i) {
                 trigger_injected_panic(i);
             }
             match job(self.g, i) {
@@ -492,8 +492,7 @@ mod tests {
             let plan = FaultPlan::parse("worker_panic@k=3").expect("spec is well-formed");
             let config = RejectoConfig { threads, faults: plan, ..RejectoConfig::default() };
             let solver = MaarSolver::new(config);
-            let mut ctx = RunContext::unmonitored();
-            ctx.injector = crate::faults::FaultInjector::new(&solver.config().faults);
+            let ctx = RunContext::armed(solver.config(), None);
             let out = solver.solve_monitored(&g, &[], &[], &ctx);
             assert!(out.failures.is_empty(), "threads={threads}: retry must clear the failure");
             assert!(!out.interrupted);
@@ -511,9 +510,8 @@ mod tests {
             let plan = FaultPlan::parse("worker_panic@k=3:always").expect("spec is well-formed");
             let config = RejectoConfig { threads, faults: plan, ..RejectoConfig::default() };
             let solver = MaarSolver::new(config);
-            let mut ctx = RunContext::unmonitored();
+            let mut ctx = RunContext::armed(solver.config(), None);
             ctx.round = 1;
-            ctx.injector = crate::faults::FaultInjector::new(&solver.config().faults);
             let out = solver.solve_monitored(&g, &[], &[], &ctx);
             assert!(!out.interrupted, "a failed slot is a skip, not an interruption");
             assert_eq!(out.failures.len(), 1, "threads={threads}");

@@ -142,14 +142,14 @@ impl fmt::Display for RuntimeError {
 impl Error for RuntimeError {}
 
 /// Per-run plumbing shared by the pruning loop and the sweep workers: the
-/// cancellation token budgets arm, the fault injector tests arm, the
+/// cancellation token budgets arm, the run's armed fault schedule, the
 /// current 1-based round for diagnostics, and the metrics registry. Sweep
-/// backends outside this crate read the token through
-/// [`RunContext::token`].
+/// backends outside this crate read the token and the schedule through
+/// [`RunContext::token`] and [`RunContext::faults`].
 #[derive(Debug, Clone)]
 pub struct RunContext {
     pub(crate) token: kl::CancelToken,
-    pub(crate) injector: crate::faults::FaultInjector,
+    pub(crate) faults: crate::faults::FaultInjector,
     pub(crate) round: usize,
     /// Metrics registry shared by the pruning loop and every sweep worker;
     /// `None` keeps the unmonitored hot path allocation-free.
@@ -162,7 +162,7 @@ impl RunContext {
     pub(crate) fn unmonitored() -> Self {
         RunContext {
             token: kl::CancelToken::new(),
-            injector: crate::faults::FaultInjector::new(&crate::faults::FaultPlan::default()),
+            faults: crate::faults::FaultInjector::default(),
             round: 0,
             obs: None,
         }
@@ -174,22 +174,27 @@ impl RunContext {
     /// run.
     pub fn armed(config: &crate::RejectoConfig, obs: Option<rejecto_obs::Obs>) -> Self {
         let token = kl::CancelToken::new();
-        let injector = crate::faults::FaultInjector::new(&config.faults);
+        let faults = crate::faults::FaultInjector::new(&config.faults);
         if let Some(deadline) = config.budget.deadline {
             token.set_deadline_in(deadline);
         }
-        if let Some(deadline) = injector.deadline() {
+        if let Some(deadline) = faults.deadline() {
             token.set_deadline_in(deadline);
         }
         if let Some(passes) = config.budget.max_kl_passes {
             token.set_pass_budget(passes);
         }
-        RunContext { token, injector, round: 0, obs }
+        RunContext { token, faults, round: 0, obs }
     }
 
     /// The run's cancellation token.
     pub fn token(&self) -> &kl::CancelToken {
         &self.token
+    }
+
+    /// The run's armed fault schedule; clones share its consumption state.
+    pub fn faults(&self) -> &crate::faults::FaultInjector {
+        &self.faults
     }
 
     /// What stopped the run, in the report's vocabulary.

@@ -34,7 +34,7 @@ use kl::KParam;
 use rejection::{Adjacency, AugmentedGraph, NodeId, Region};
 #[cfg(test)]
 use rejecto_core::{InitialPlacement, InterruptReason};
-use rejecto_core::{ClusterFaults, Completion, MaarSolver, RejectoConfig, RunContext, RuntimeError};
+use rejecto_core::{Completion, FaultInjector, MaarSolver, RejectoConfig, RunContext, RuntimeError};
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -253,8 +253,9 @@ pub struct Cluster {
     watchdog: Cell<Duration>,
     max_respawns: usize,
     backoff_base: Duration,
-    /// Armed distributed fault schedules (empty by default).
-    faults: RefCell<ClusterFaults>,
+    /// The run's fault schedule, handed over by the sweep backend (empty
+    /// by default); the cluster probes its worker deaths.
+    faults: RefCell<FaultInjector>,
     /// 1-based fetch batch counter, the clock injected deaths key on.
     fetch_seq: Cell<u64>,
     /// Injected deaths left to fire (kill-before-send), armed by a
@@ -427,7 +428,7 @@ impl Cluster {
             watchdog: Cell::new(config.request_deadline),
             max_respawns: config.max_respawns,
             backoff_base: config.backoff_base,
-            faults: RefCell::new(ClusterFaults::default()),
+            faults: RefCell::new(FaultInjector::default()),
             fetch_seq: Cell::new(0),
             pending_deaths: Cell::new(0),
             pending_hangs: Cell::new(0),
@@ -449,22 +450,11 @@ impl Cluster {
         self.restarts.get()
     }
 
-    /// Total shards merged onto a survivor so far.
-    pub fn shards_rebalanced(&self) -> u64 {
-        self.rebalances.get()
-    }
-
-    /// Arms the distributed fault schedules of a plan on this cluster
-    /// (probes are free when the schedule is empty). Clones of one
-    /// [`ClusterFaults`] share consumption state, so a schedule armed on
-    /// successive per-round clusters still fires exactly once per run.
-    pub fn arm_faults(&self, faults: ClusterFaults) {
-        *self.faults.borrow_mut() = faults;
-    }
-
-    /// A shared handle to the armed fault schedules.
-    pub(crate) fn faults_handle(&self) -> ClusterFaults {
-        self.faults.borrow().clone()
+    /// Hands the run's fault schedule to this cluster. Clones share
+    /// consumption state, so a schedule reaching successive per-round
+    /// clusters still fires exactly once per run.
+    pub(crate) fn arm_faults(&self, faults: &FaultInjector) {
+        *self.faults.borrow_mut() = faults.clone();
     }
 
     /// Arms `n` injected hangs: each swallows one request so only the
@@ -885,11 +875,6 @@ impl DistributedMaar {
         self.obs = Some(obs);
     }
 
-    /// The cluster sizing this solver spawns with.
-    pub fn cluster_config(&self) -> &ClusterConfig {
-        &self.cluster_config
-    }
-
     /// Solves MAAR on `g` using a freshly spawned cluster.
     ///
     /// # Errors
@@ -898,25 +883,18 @@ impl DistributedMaar {
     /// loses every worker.
     pub fn solve(&self, g: &AugmentedGraph) -> Result<DistributedOutcome, RuntimeError> {
         let cluster = Cluster::new(g, &self.cluster_config)?;
-        self.solve_on(&cluster, g.num_nodes())
+        self.solve_on(&cluster)
     }
 
-    /// Solves MAAR against an existing cluster holding `num_nodes` users
-    /// (graph already sharded), arming the configured budgets and fault
-    /// plan for this one solve.
+    /// Solves MAAR against an existing cluster (graph already sharded),
+    /// arming the configured budgets and fault plan for this one solve.
     ///
     /// # Errors
     ///
     /// As [`DistributedMaar::solve`].
-    pub fn solve_on(
-        &self,
-        cluster: &Cluster,
-        num_nodes: usize,
-    ) -> Result<DistributedOutcome, RuntimeError> {
-        debug_assert_eq!(num_nodes, cluster.num_nodes(), "cluster holds a different graph");
+    pub fn solve_on(&self, cluster: &Cluster) -> Result<DistributedOutcome, RuntimeError> {
         let start = rejecto_obs::Stopwatch::start();
         let ctx = RunContext::armed(&self.rejecto, self.obs.clone());
-        cluster.arm_faults(ClusterFaults::new(&self.rejecto.faults));
         let mut source = ShardSource::new(cluster, &self.cluster_config);
         let out = MaarSolver::new(self.rejecto.clone()).solve_with(&mut source, &[], &[], &ctx)?;
         let completion = if out.interrupted {
@@ -1145,7 +1123,7 @@ mod tests {
         // fails this test.
         cluster.fail_worker(1);
         let out = DistributedMaar::new(ClusterConfig::default(), RejectoConfig::default())
-            .solve_on(&cluster, g.num_nodes())
+            .solve_on(&cluster)
             .expect("distributed solve succeeds");
         assert!(out.suspects.is_empty(), "a rejection-free graph has no cut");
         assert!(
@@ -1231,7 +1209,7 @@ mod fault_tests {
         cluster.fail_worker(1);
         cluster.fail_worker(2);
         let dist = DistributedMaar::new(ClusterConfig::default(), config);
-        let out = dist.solve_on(&cluster, g.num_nodes()).expect("crashes are recovered");
+        let out = dist.solve_on(&cluster).expect("crashes are recovered");
         assert_eq!(out.suspects, local.suspects(), "crash changed the cut");
         assert!(out.io.worker_restarts >= 2);
     }

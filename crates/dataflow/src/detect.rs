@@ -24,8 +24,8 @@ use crate::{Cluster, ClusterConfig, IoStats};
 use rejection::{AugmentedGraph, NodeId};
 use rejecto_core::checkpoint::Checkpoint;
 use rejecto_core::{
-    CheckpointSink, ClusterFaults, DetectionReport, IterativeDetector, RejectoConfig, RunContext,
-    RuntimeError, Seeds, Termination,
+    CheckpointSink, DetectionReport, IterativeDetector, RejectoConfig, RunContext, RuntimeError,
+    Seeds, Termination,
 };
 use std::sync::Arc;
 
@@ -142,27 +142,6 @@ impl DistributedDetector {
         self.run(g, seeds, termination, Some(checkpoint), None)
     }
 
-    /// [`DistributedDetector::resume`] with checkpointing of the continued
-    /// rounds.
-    ///
-    /// # Errors
-    ///
-    /// As [`DistributedDetector::resume`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any seed id is out of range of `g`.
-    pub fn resume_with_checkpoints(
-        &self,
-        g: &AugmentedGraph,
-        seeds: &Seeds,
-        termination: Termination,
-        checkpoint: &Checkpoint,
-        sink: CheckpointSink<'_>,
-    ) -> Result<DetectionReport, RuntimeError> {
-        self.run(g, seeds, termination, Some(checkpoint), Some(sink))
-    }
-
     /// Any of the detect/resume × with/without-checkpoints modes: resumes
     /// from `resume_from` when given and checkpoints every completed round
     /// into `sink` when given.
@@ -192,9 +171,9 @@ impl DistributedDetector {
 
     /// The core pruning loop, each round solved on a fresh cluster sharding
     /// the residual graph — the distributed analogue of re-deriving the
-    /// RDDs after a prune. Fault schedules are armed once and shared
-    /// across the per-round clusters so each schedule fires exactly once
-    /// per run.
+    /// RDDs after a prune. The loop arms the fault plan once per run; each
+    /// round's sweep hands that one schedule to its cluster, so every
+    /// schedule fires exactly once per run.
     fn run_with_io(
         &self,
         g: &AugmentedGraph,
@@ -203,7 +182,6 @@ impl DistributedDetector {
         resume_from: Option<&Checkpoint>,
         sink: Option<CheckpointSink<'_>>,
     ) -> Result<(DetectionReport, IoStats), RuntimeError> {
-        let faults = ClusterFaults::new(&self.detector.solver().config().faults);
         let mut io = IoStats::default();
         let mut solve_round =
             |current: &AugmentedGraph, legit: &[NodeId], spammer: &[NodeId], ctx: &RunContext| {
@@ -213,7 +191,6 @@ impl DistributedDetector {
                     ..self.cluster_config
                 };
                 let cluster = Cluster::from_arc(Arc::new(current.clone()), &round_config)?;
-                cluster.arm_faults(faults.clone());
                 let mut source = ShardSource::new(&cluster, &round_config);
                 let outcome = self.detector.solver().solve_with(&mut source, legit, spammer, ctx);
                 io.merge(&source.io());

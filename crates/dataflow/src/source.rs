@@ -122,8 +122,10 @@ impl SweepBackend for ShardSource<'_> {
 
     /// The master has one thread and no pool worker to detonate, so the
     /// `k` values run in order and injected worker panics are ignored.
-    /// Before each `k` the watchdog is tightened to the remaining run
-    /// budget and any hang scheduled for that sweep index is armed.
+    /// The run's fault schedule is handed to the cluster, whose fetches
+    /// probe it for worker deaths. Before each `k` the watchdog is
+    /// tightened to the remaining run budget and any hang scheduled for
+    /// that sweep index is armed.
     fn run_ks(
         &mut self,
         degrees: Vec<Degrees>,
@@ -133,7 +135,7 @@ impl SweepBackend for ShardSource<'_> {
     ) -> Result<Vec<JobOutcome<KResult>>, ClusterError> {
         self.degrees = degrees;
         *self.buffer.get_mut() = LruCache::new(self.config.buffer_capacity);
-        let faults = self.cluster.faults_handle();
+        self.cluster.arm_faults(ctx.faults());
         let mut slots = Vec::with_capacity(jobs);
         for i in 0..jobs {
             if ctx.token().is_cancelled() {
@@ -143,7 +145,7 @@ impl SweepBackend for ShardSource<'_> {
             if let Some(remaining) = ctx.token().time_remaining() {
                 self.cluster.tighten_watchdog(remaining);
             }
-            if faults.take_hang(i) {
+            if ctx.faults().take_hang(i) {
                 self.cluster.arm_hang(1);
             }
             slots.push(JobOutcome::Done(job(self, i)?));

@@ -30,8 +30,8 @@ use crate::determinism::{render_report, scratch, snappy_cluster};
 use dataflow::DistributedDetector;
 use rejecto_core::chaos::{ChaosPlan, ChaosProfile, ChaosRng};
 use rejecto_core::{
-    CheckpointStore, Completion, DetectionReport, InterruptReason, IterativeDetector,
-    RejectoConfig, ResourceBudget, Seeds, StoreFaults, Termination,
+    CheckpointStore, Completion, DetectionReport, FaultInjector, InterruptReason,
+    IterativeDetector, RejectoConfig, ResourceBudget, Seeds, Termination,
 };
 use simulator::{Scenario, ScenarioConfig, SelfRejectionConfig, SimOutput};
 use socialgraph::surrogates::Surrogate;
@@ -325,7 +325,7 @@ fn resume_leg(
 ) -> Result<String, String> {
     let dir = scratch(&format!("chaos-{seed}-t{threads}"));
     let store = CheckpointStore::new(dir.join("run.ckpt"))
-        .with_faults(StoreFaults::new(&config.faults))
+        .with_faults(FaultInjector::new(&config.faults))
         .with_limit(ckpt_limit);
 
     let mut halted_config = config.clone();

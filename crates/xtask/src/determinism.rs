@@ -19,8 +19,8 @@
 
 use dataflow::{ClusterConfig, DistributedDetector};
 use rejecto_core::{
-    Checkpoint, CheckpointStore, Completion, DetectionReport, FaultPlan, IterativeDetector,
-    RejectoConfig, Seeds, StoreFaults, Termination,
+    Checkpoint, CheckpointStore, Completion, DetectionReport, FaultInjector, FaultPlan,
+    IterativeDetector, RejectoConfig, Seeds, Termination,
 };
 use rejection::io::write_augmented;
 use simulator::{Scenario, ScenarioConfig, SelfRejectionConfig, SimOutput};
@@ -177,7 +177,11 @@ pub fn run() -> Result<String, String> {
                  {diff_line})\n--- threads={threads} ---\n{rt}--- auto ---\n{report1}"
             ));
         }
-        kill_and_resume(&sim1, threads, &rt)?;
+        kill_and_resume(&sim1, &format!("local threads={threads}"), &rt, |config, from| {
+            IterativeDetector::new(RejectoConfig { threads, ..config })
+                .run(&sim1.graph, &Seeds::default(), Termination::SuspectBudget(FAKES), from, None)
+                .map_err(|e| e.to_string())
+        })?;
     }
 
     distributed_legs(&sim1)?;
@@ -260,7 +264,7 @@ fn durable_store_legs() -> Result<(), String> {
         for threads in THREAD_COUNTS {
             let dir = scratch(&format!("local-{threads}-{form}"));
             let store = CheckpointStore::new(dir.join("run.ckpt"))
-                .with_faults(StoreFaults::new(&plan));
+                .with_faults(FaultInjector::new(&plan));
             let mut sink =
                 |ckpt: &Checkpoint| store.save(ckpt).map_err(std::io::Error::other);
             IterativeDetector::new(RejectoConfig { threads, ..RejectoConfig::default() })
@@ -302,7 +306,7 @@ fn durable_store_legs() -> Result<(), String> {
         for workers in WORKER_COUNTS {
             let dir = scratch(&format!("dist-{workers}-{form}"));
             let store = CheckpointStore::new(dir.join("run.ckpt"))
-                .with_faults(StoreFaults::new(&plan));
+                .with_faults(FaultInjector::new(&plan));
             let mut sink =
                 |ckpt: &Checkpoint| store.save(ckpt).map_err(std::io::Error::other);
             DistributedDetector::new(snappy_cluster(workers), RejectoConfig::default())
@@ -544,82 +548,45 @@ fn distributed_legs(sim: &SimOutput) -> Result<(), String> {
             ));
         }
 
-        distributed_kill_and_resume(sim, workers, &baseline)?;
+        let runtime = format!("distributed workers={workers}");
+        kill_and_resume(sim, &runtime, &baseline, |config, from| {
+            DistributedDetector::new(snappy_cluster(workers), config)
+                .run(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES), from, None)
+                .map_err(|e| format!("distributed detect failed at workers={workers}: {e}"))
+        })?;
     }
     Ok(())
 }
 
-/// The distributed twin of [`kill_and_resume`]: halt after one pruning
-/// round via the deterministic round budget, round-trip the checkpoint
-/// through JSON, resume on a fresh cluster, and demand byte-identity with
-/// the uninterrupted distributed run.
-fn distributed_kill_and_resume(
+/// Kill-and-resume check on one runtime: interrupt the run after one
+/// pruning round (the deterministic `max_rounds` budget), serialize the
+/// checkpoint through its JSON wire format, resume from the deserialized
+/// copy, and demand the resumed report render byte-identically to the
+/// uninterrupted run on the same runtime. `run` detects under a config,
+/// resuming from the checkpoint when given one; `runtime` names the leg in
+/// errors (e.g. `local threads=4`, `distributed workers=1`).
+fn kill_and_resume(
     sim: &SimOutput,
-    workers: usize,
+    runtime: &str,
     full_render: &str,
+    run: impl Fn(RejectoConfig, Option<&Checkpoint>) -> Result<DetectionReport, String>,
 ) -> Result<(), String> {
     let mut config = RejectoConfig::default();
     config.budget.max_rounds = Some(1);
-    let halted = detect_distributed(sim, workers, config)?;
-    if !halted.is_partial() {
-        return Err(format!(
-            "distributed kill-and-resume fixture degenerated: the \
-             max_rounds=1 run at workers={workers} completed in one round, \
-             so the resume path went unexercised; grow the scenario"
-        ));
-    }
-
-    let json = Checkpoint::capture(&sim.graph, &halted).to_json();
-    let restored = Checkpoint::from_json(&json).map_err(|e| {
-        format!("distributed checkpoint JSON round-trip failed at workers={workers}: {e}")
-    })?;
-    let resumed = DistributedDetector::new(snappy_cluster(workers), RejectoConfig::default())
-        .resume(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES), &restored)
-        .map_err(|e| {
-            format!("distributed resume rejected its own checkpoint at workers={workers}: {e}")
-        })?;
-    let rr = render_report(&resumed);
-    if rr != full_render {
-        let diff_line = rr
-            .lines()
-            .zip(full_render.lines())
-            .position(|(a, b)| a != b)
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        return Err(format!(
-            "distributed kill-and-resume diverged at workers={workers}: \
-             resumed report differs from the uninterrupted run (first \
-             differing line {diff_line})\n--- resumed ---\n{rr}\
-             --- uninterrupted ---\n{full_render}"
-        ));
-    }
-    Ok(())
-}
-
-/// Kill-and-resume check: interrupt the run after one pruning round (the
-/// deterministic `max_rounds` budget), serialize the checkpoint through
-/// its JSON wire format, resume from the deserialized copy, and demand the
-/// resumed report render byte-identically to the uninterrupted run at the
-/// same thread count.
-fn kill_and_resume(sim: &SimOutput, threads: usize, full_render: &str) -> Result<(), String> {
-    let mut config = RejectoConfig { threads, ..RejectoConfig::default() };
-    config.budget.max_rounds = Some(1);
-    let halted = IterativeDetector::new(config)
-        .detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES));
+    let halted = run(config, None)?;
     if !halted.is_partial() {
         return Err(format!(
             "kill-and-resume fixture degenerated: the max_rounds=1 run at \
-             threads={threads} completed in one round, so the resume path \
-             went unexercised; grow the scenario"
+             {runtime} completed in one round, so the resume path went \
+             unexercised; grow the scenario"
         ));
     }
 
     let json = Checkpoint::capture(&sim.graph, &halted).to_json();
     let restored = Checkpoint::from_json(&json)
-        .map_err(|e| format!("checkpoint JSON round-trip failed at threads={threads}: {e}"))?;
-    let resumed = IterativeDetector::new(RejectoConfig { threads, ..RejectoConfig::default() })
-        .resume(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES), &restored)
-        .map_err(|e| format!("resume rejected its own checkpoint at threads={threads}: {e}"))?;
+        .map_err(|e| format!("checkpoint JSON round-trip failed at {runtime}: {e}"))?;
+    let resumed = run(RejectoConfig::default(), Some(&restored))
+        .map_err(|e| format!("resume rejected its own checkpoint at {runtime}: {e}"))?;
     let rr = render_report(&resumed);
     if rr != full_render {
         let diff_line = rr
@@ -629,9 +596,9 @@ fn kill_and_resume(sim: &SimOutput, threads: usize, full_render: &str) -> Result
             .map(|i| i + 1)
             .unwrap_or(0);
         return Err(format!(
-            "kill-and-resume diverged at threads={threads}: resumed report \
-             differs from the uninterrupted run (first differing line \
-             {diff_line})\n--- resumed ---\n{rr}--- uninterrupted ---\n{full_render}"
+            "kill-and-resume diverged at {runtime}: resumed report differs \
+             from the uninterrupted run (first differing line {diff_line})\n\
+             --- resumed ---\n{rr}--- uninterrupted ---\n{full_render}"
         ));
     }
     Ok(())

@@ -4,8 +4,8 @@ use super::args::{ArgError, Args};
 use dataflow::{ClusterConfig, DistributedDetector};
 use rejecto_core::store::atomic_write;
 use rejecto_core::{
-    Checkpoint, CheckpointSink, CheckpointStore, Completion, FaultPlan, InterruptReason,
-    IterativeDetector, RejectoConfig, ResourceBudget, Seeds, StoreFaults, Termination,
+    Checkpoint, CheckpointSink, CheckpointStore, Completion, FaultInjector, FaultPlan,
+    InterruptReason, IterativeDetector, RejectoConfig, ResourceBudget, Seeds, Termination,
 };
 use rejection::io::LoadStats;
 use rejection::AugmentedGraph;
@@ -346,7 +346,7 @@ fn detect<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
     // metrics registry attached.
     let store = checkpoint_path.as_ref().map(|p| {
         let mut s = CheckpointStore::new(p)
-            .with_faults(StoreFaults::new(&config.faults))
+            .with_faults(FaultInjector::new(&config.faults))
             .with_limit(max_checkpoint_bytes);
         if let Some(keep) = checkpoint_keep {
             s = s.with_keep(keep);
