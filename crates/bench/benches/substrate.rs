@@ -1,11 +1,11 @@
 //! Substrate benchmarks: graph generators, graph metrics, the simulator,
-//! and the distributed runtime's throughput (the Table-II kernel).
+//! and one distributed detection round (a MAAR sweep on the cluster).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dataflow::{ClusterConfig, DistributedMaar};
+use dataflow::{ClusterConfig, DistributedDetector};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use rejecto_core::RejectoConfig;
+use rejecto_core::{RejectoConfig, RunBudget, Seeds, Termination};
 use simulator::{Scenario, ScenarioConfig};
 use socialgraph::generators::{BarabasiAlbert, HolmeKim};
 use socialgraph::metrics;
@@ -62,17 +62,26 @@ fn bench_distributed(c: &mut Criterion) {
     let host = Surrogate::Facebook.generate_scaled(1, 0.2);
     let sim = Scenario::new(ScenarioConfig { num_fakes: 2_000, ..ScenarioConfig::default() })
         .run(&host, 42);
-    let rejecto = RejectoConfig { k_factor: 2.5, max_kl_passes: 8, ..RejectoConfig::default() };
+    // One round is one MAAR sweep on a freshly sharded cluster.
+    let rejecto = RejectoConfig {
+        k_factor: 2.5,
+        max_kl_passes: 8,
+        budget: RunBudget { max_rounds: Some(1), ..RunBudget::unlimited() },
+        ..RejectoConfig::default()
+    };
+    let termination = Termination::SuspectBudget(sim.fakes.len());
     for &workers in &[1usize, 2, 4] {
         group.bench_with_input(
-            BenchmarkId::new("maar_solve_4k_nodes", workers),
+            BenchmarkId::new("detect_one_round_4k_nodes", workers),
             &workers,
             |b, &workers| {
-                let solver = DistributedMaar::new(
+                let detector = DistributedDetector::new(
                     ClusterConfig { num_workers: workers, ..ClusterConfig::default() },
                     rejecto.clone(),
                 );
-                b.iter(|| black_box(solver.solve(&sim.graph)))
+                b.iter(|| {
+                    black_box(detector.detect_with_io(&sim.graph, &Seeds::default(), termination))
+                })
             },
         );
     }

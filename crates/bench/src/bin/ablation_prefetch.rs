@@ -4,14 +4,16 @@
 //! The paper's claim: fetching per-node on demand incurs prohibitive
 //! network I/O; prefetching the bucket list's top-gain nodes in batches
 //! removes round trips. `batch=1, capacity=1` approximates the naive
-//! implementation.
+//! implementation. Each variant runs one detection round
+//! (`max_rounds: Some(1)`), i.e. one MAAR solve.
 
 use bench::Harness;
-use dataflow::{ClusterConfig, DistributedMaar};
-use rejecto_core::RejectoConfig;
+use dataflow::{ClusterConfig, DistributedDetector};
+use rejecto_core::{RejectoConfig, RunBudget, Seeds, Termination};
 use serde::Serialize;
 use simulator::ScenarioConfig;
 use socialgraph::surrogates::Surrogate;
+use std::time::Instant;
 
 #[derive(Debug, Clone, Serialize)]
 struct Row {
@@ -27,7 +29,13 @@ fn main() {
     let h = Harness::from_env("ablation_prefetch");
     let host = h.host(Surrogate::Facebook);
     let sim = h.simulate(&host, ScenarioConfig::default());
-    let rejecto = RejectoConfig { k_factor: 2.5, max_kl_passes: 8, ..RejectoConfig::default() };
+    let rejecto = RejectoConfig {
+        k_factor: 2.5,
+        max_kl_passes: 8,
+        budget: RunBudget { max_rounds: Some(1), ..RunBudget::unlimited() },
+        ..RejectoConfig::default()
+    };
+    let termination = Termination::SuspectBudget(sim.fakes.len());
 
     let variants: Vec<(usize, usize)> = vec![
         (1, 1),          // naive: on-demand, no reuse
@@ -39,7 +47,7 @@ fn main() {
     ];
 
     let mut rows = Vec::new();
-    let mut baseline_suspects: Option<Vec<rejection::NodeId>> = None;
+    let mut baseline: Option<rejecto_core::DetectionReport> = None;
     for (batch, capacity) in variants {
         let cfg = ClusterConfig {
             prefetch_batch: batch,
@@ -47,25 +55,27 @@ fn main() {
             num_workers: 4,
             ..ClusterConfig::default()
         };
-        let out = DistributedMaar::new(cfg, rejecto.clone())
-            .solve(&sim.graph)
+        let start = Instant::now();
+        let (report, io) = DistributedDetector::new(cfg, rejecto.clone())
+            .detect_with_io(&sim.graph, &Seeds::default(), termination)
             .expect("healthy cluster must solve");
+        let elapsed = start.elapsed();
         // The buffer is an optimization: every variant must find the same cut.
-        match &baseline_suspects {
-            None => baseline_suspects = Some(out.suspects.clone()),
-            Some(b) => assert_eq!(b, &out.suspects, "buffering changed the cut"),
+        match &baseline {
+            None => baseline = Some(report),
+            Some(b) => assert_eq!(b, &report, "buffering changed the cut"),
         }
         eprintln!(
-            "  batch={batch} cap={capacity}: batches {} fetched {} hits {} in {:.2?}",
-            out.io.fetch_batches, out.io.nodes_fetched, out.io.buffer_hits, out.elapsed
+            "  batch={batch} cap={capacity}: batches {} fetched {} hits {} in {elapsed:.2?}",
+            io.fetch_batches, io.nodes_fetched, io.buffer_hits
         );
         rows.push(Row {
             batch,
             capacity,
-            fetch_batches: out.io.fetch_batches,
-            nodes_fetched: out.io.nodes_fetched,
-            buffer_hits: out.io.buffer_hits,
-            seconds: out.elapsed.as_secs_f64(),
+            fetch_batches: io.fetch_batches,
+            nodes_fetched: io.nodes_fetched,
+            buffer_hits: io.buffer_hits,
+            seconds: elapsed.as_secs_f64(),
         });
     }
 

@@ -7,9 +7,10 @@
 //! relabels survivors in ascending id order and composes (inducing round
 //! by round equals inducing once on the final survivor set). A
 //! [`Checkpoint`] therefore captures exactly those two pieces, and
-//! [`crate::IterativeDetector::resume`] reproduces the uninterrupted run
-//! *byte-identically* — the property `cargo xtask check --determinism`
-//! kills and resumes a real run to verify.
+//! [`crate::IterativeDetector::run`] resuming from it reproduces the
+//! uninterrupted run *byte-identically* — the property
+//! `cargo xtask check --determinism` kills and resumes a real run to
+//! verify.
 //!
 //! The on-disk form is a single line of JSON with an explicit
 //! `format`/`version` envelope. Acceptance rates are stored as the hex of

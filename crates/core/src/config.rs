@@ -10,7 +10,7 @@ use std::time::Duration;
 /// [`crate::Completion::Partial`] — it never aborts.
 ///
 /// These budgets are deliberately distinct from the *convergence caps*
-/// ([`RejectoConfig::max_kl_passes`], [`RejectoConfig::max_rounds`]): a
+/// ([`RejectoConfig::max_kl_passes`] and the fixed 64-round cap): a
 /// run that hits a cap has still converged per configuration and reports
 /// [`crate::Completion::Complete`]; a run that hits a budget was cut short.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -71,8 +71,6 @@ pub struct RejectoConfig {
     pub k_denominator: u64,
     /// Cap on KL passes per `k`.
     pub max_kl_passes: usize,
-    /// Cap on iterative pruning rounds.
-    pub max_rounds: usize,
     /// KL warm start.
     pub initial_placement: InitialPlacement,
     /// Largest admissible suspect region, as a fraction of the (residual)
@@ -119,7 +117,6 @@ impl Default for RejectoConfig {
             k_factor: 1.5,
             k_denominator: 64,
             max_kl_passes: 16,
-            max_rounds: 64,
             initial_placement: InitialPlacement::RejectionRatio(0.5),
             max_suspect_fraction: 0.6,
             threads: 0,

@@ -6,6 +6,11 @@ use rejection::{AugmentedGraph, NodeId};
 use std::convert::Infallible;
 use std::io;
 
+/// Convergence cap on pruning rounds: a run that reaches it has still
+/// converged and reports [`Completion::Complete`], unlike one stopped by
+/// the round budget ([`crate::RunBudget::max_rounds`]).
+const MAX_ROUNDS: usize = 64;
+
 /// Manually inspected ground-truth users the OSN provider supplies
 /// (§III-B, §IV-F). Ids refer to the *original* graph handed to
 /// [`IterativeDetector::detect`].
@@ -66,7 +71,7 @@ pub enum InterruptReason {
 #[non_exhaustive]
 pub enum Completion {
     /// The run terminated on its own (termination rule, convergence, or
-    /// the `max_rounds` convergence cap).
+    /// the 64-round convergence cap).
     #[default]
     Complete,
     /// The run was interrupted at a safe boundary; `groups` holds every
@@ -278,29 +283,6 @@ impl IterativeDetector {
         self.run_pooled(g, seeds, termination, None, Some(sink))
     }
 
-    /// Continues a run from `checkpoint`, exactly as if the original run
-    /// had never stopped: given the same graph, seeds, termination, and a
-    /// deterministic configuration, the resumed report is byte-identical
-    /// to the uninterrupted run's.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::CheckpointMismatch`] (and friends) when the
-    /// checkpoint does not describe `g`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any seed id is out of range of `g`.
-    pub fn resume(
-        &self,
-        g: &AugmentedGraph,
-        seeds: &Seeds,
-        termination: Termination,
-        checkpoint: &Checkpoint,
-    ) -> Result<DetectionReport, RuntimeError> {
-        self.run(g, seeds, termination, Some(checkpoint), None)
-    }
-
     /// Any of the detect/resume × with/without-checkpoints modes: resumes
     /// from `resume_from` when given and checkpoints every completed round
     /// into `sink` when given.
@@ -382,7 +364,6 @@ impl IterativeDetector {
         };
         let LoopState { mut report, mut current, mut to_original } = state;
         let config = self.solver.config();
-        let max_rounds = config.max_rounds;
 
         let budget = match termination {
             Termination::SuspectBudget(b) => Some(b),
@@ -399,7 +380,7 @@ impl IterativeDetector {
         let mut completion = Completion::Complete;
         let _detect_span = self.obs.as_ref().map(|o| o.span("detect"));
 
-        while report.rounds < max_rounds {
+        while report.rounds < MAX_ROUNDS {
             if let Some(limit) = config.budget.max_rounds {
                 if report.rounds >= limit {
                     completion = Completion::Partial {
@@ -742,7 +723,7 @@ mod tests {
         let restored =
             Checkpoint::from_json(&last.to_json()).expect("checkpoint round-trips");
         let resumed = IterativeDetector::new(RejectoConfig::default())
-            .resume(&g, &seeds, termination, &restored)
+            .run(&g, &seeds, termination, Some(&restored), None)
             .expect("checkpoint matches the graph");
         assert_eq!(resumed, full, "resume must reproduce the uninterrupted run");
     }

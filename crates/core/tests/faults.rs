@@ -198,11 +198,12 @@ fn kill_and_resume_under_a_round_budget_matches_the_uninterrupted_run() {
         let json = Checkpoint::capture(&sim.graph, &halted).to_json();
         let restored = Checkpoint::from_json(&json).expect("checkpoint JSON round-trips");
         let resumed = IterativeDetector::new(RejectoConfig { threads, ..RejectoConfig::default() })
-            .resume(
+            .run(
                 &sim.graph,
                 &Seeds::default(),
                 Termination::SuspectBudget(FAKES),
-                &restored,
+                Some(&restored),
+                None,
             )
             .expect("checkpoint validates against its own graph");
         assert_eq!(resumed, full, "threads={threads}: resumed run diverged");

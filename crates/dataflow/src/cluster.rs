@@ -28,13 +28,10 @@
 //! byte-identical to the failure-free run.
 
 use crate::error::ClusterError;
-use crate::source::ShardSource;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use kl::KParam;
 use rejection::{Adjacency, AugmentedGraph, NodeId, Region};
-#[cfg(test)]
-use rejecto_core::{InitialPlacement, InterruptReason};
-use rejecto_core::{Completion, FaultInjector, MaarSolver, RejectoConfig, RunContext, RuntimeError};
+use rejecto_core::FaultInjector;
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -181,12 +178,6 @@ impl IoStats {
     }
 }
 
-impl std::ops::AddAssign for IoStats {
-    fn add_assign(&mut self, other: IoStats) {
-        self.merge(&other);
-    }
-}
-
 enum Request {
     /// Ship the adjacency of these owned nodes.
     Fetch(Vec<u32>),
@@ -243,11 +234,9 @@ struct Worker {
 /// See the [module docs](self) for the failure model: respawn from
 /// lineage, then rebalance onto survivors, then a structured
 /// [`ClusterError`] — never a panic.
-pub struct Cluster {
+pub(crate) struct Cluster {
     graph: Arc<AugmentedGraph>,
     workers: RefCell<Vec<Worker>>,
-    restarts: Cell<u64>,
-    rebalances: Cell<u64>,
     num_nodes: usize,
     /// Current per-request watchdog deadline (monotonically tightened).
     watchdog: Cell<Duration>,
@@ -270,8 +259,6 @@ impl std::fmt::Debug for Cluster {
         f.debug_struct("Cluster")
             .field("num_workers", &self.workers.borrow().len())
             .field("num_nodes", &self.num_nodes)
-            .field("restarts", &self.restarts.get())
-            .field("rebalances", &self.rebalances.get())
             .finish()
     }
 }
@@ -380,8 +367,8 @@ fn reap(worker: Worker) {
 }
 
 impl Cluster {
-    /// Shards `g` across `config.num_workers` worker threads. The graph is
-    /// retained on the master as the recovery lineage.
+    /// Shards `graph` across `config.num_workers` worker threads. The
+    /// graph is retained on the master as the recovery lineage.
     ///
     /// # Errors
     ///
@@ -389,17 +376,7 @@ impl Cluster {
     /// [`ClusterConfig::validate`] or asks for more workers (shards) than
     /// the graph has nodes; [`ClusterError::SpawnFailed`] when the OS
     /// refuses a worker thread.
-    pub fn new(g: &AugmentedGraph, config: &ClusterConfig) -> Result<Self, ClusterError> {
-        Cluster::from_arc(Arc::new(g.clone()), config)
-    }
-
-    /// Shards an already-shared graph (avoids the clone in
-    /// [`Cluster::new`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Cluster::new`].
-    pub fn from_arc(
+    pub(crate) fn new(
         graph: Arc<AugmentedGraph>,
         config: &ClusterConfig,
     ) -> Result<Self, ClusterError> {
@@ -422,8 +399,6 @@ impl Cluster {
         Ok(Cluster {
             graph,
             workers: RefCell::new(workers),
-            restarts: Cell::new(0),
-            rebalances: Cell::new(0),
             num_nodes: n,
             watchdog: Cell::new(config.request_deadline),
             max_respawns: config.max_respawns,
@@ -436,18 +411,13 @@ impl Cluster {
     }
 
     /// Number of users the cluster holds.
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.num_nodes
     }
 
     /// Number of worker shards (shrinks when shards are rebalanced).
-    pub fn num_workers(&self) -> usize {
+    pub(crate) fn num_workers(&self) -> usize {
         self.workers.borrow().len()
-    }
-
-    /// Total workers respawned from lineage so far.
-    pub fn worker_restarts(&self) -> u64 {
-        self.restarts.get()
     }
 
     /// Hands the run's fault schedule to this cluster. Clones share
@@ -465,18 +435,18 @@ impl Cluster {
 
     /// Tightens the per-request watchdog (floored so a near-expired run
     /// deadline cannot misdiagnose healthy workers as hung).
-    pub fn tighten_watchdog(&self, limit: Duration) {
+    pub(crate) fn tighten_watchdog(&self, limit: Duration) {
         let floored = limit.max(WATCHDOG_FLOOR);
         self.watchdog.set(self.watchdog.get().min(floored));
     }
 
-    /// Kills worker `wi` (test hook simulating a crash). The next request
-    /// routed to it triggers a lineage respawn.
+    /// Kills worker `wi`, as an injected death (or a test) simulates a
+    /// crash. The next request routed to it triggers a lineage respawn.
     ///
     /// # Panics
     ///
     /// Panics if `wi` is out of range.
-    pub fn fail_worker(&self, wi: usize) {
+    pub(crate) fn fail_worker(&self, wi: usize) {
         let mut workers = self.workers.borrow_mut();
         let w = &mut workers[wi];
         let _ = w.tx.send(Request::Shutdown);
@@ -503,7 +473,6 @@ impl Cluster {
             let fresh = spawn_worker(&self.graph, lo, hi, wi)?;
             std::mem::replace(&mut workers[wi], fresh)
         };
-        self.restarts.set(self.restarts.get() + 1);
         reap(old);
         Ok(())
     }
@@ -538,7 +507,6 @@ impl Cluster {
             let old = std::mem::replace(&mut workers[target], fresh);
             (dead, old)
         };
-        self.rebalances.set(self.rebalances.get() + 1);
         io.shards_rebalanced += 1;
         reap(dead);
         reap(old);
@@ -823,111 +791,20 @@ impl Drop for Cluster {
     }
 }
 
-/// Result of a distributed MAAR solve.
-#[derive(Debug, Clone)]
-pub struct DistributedOutcome {
-    /// The suspect region of the winning cut, ascending.
-    pub suspects: Vec<NodeId>,
-    /// Aggregate acceptance rate of the winning cut (`None` if no
-    /// non-degenerate cut was found).
-    pub acceptance_rate: Option<f64>,
-    /// The winning sweep `k`.
-    pub k: Option<f64>,
-    /// The winning sweep `k` as the exact rational it was solved with.
-    pub k_exact: Option<KParam>,
-    /// Simulated traffic counters.
-    pub io: IoStats,
-    /// Wall-clock time of the solve.
-    pub elapsed: Duration,
-    /// Whether the sweep ran every `k` ([`Completion::Complete`]) or a
-    /// budget tripped mid-sweep; the half-finished `k` is rolled back and
-    /// the completed sweep indices are reported in the `Partial` payload.
-    pub completion: Completion,
-    /// Degraded-operation diagnostics surfaced through the run. Worker
-    /// respawns and shard rebalances are *not* failures (their replays are
-    /// byte-identical) — they are counted in [`IoStats`] instead.
-    pub failures: Vec<RuntimeError>,
-}
-
-/// Distributed MAAR solver: `rejecto_core::MaarSolver`'s sweep with every
-/// extended-KL run reading a [`Cluster`] through the §V data layout
-/// (status + bucket list on the master, adjacency on the workers, prefetch
-/// through an LRU buffer).
-#[derive(Debug, Clone)]
-pub struct DistributedMaar {
-    cluster_config: ClusterConfig,
-    rejecto: RejectoConfig,
-    obs: Option<rejecto_obs::Obs>,
-}
-
-impl DistributedMaar {
-    /// Creates a solver.
-    pub fn new(cluster_config: ClusterConfig, rejecto: RejectoConfig) -> Self {
-        DistributedMaar { cluster_config, rejecto, obs: None }
-    }
-
-    /// Attaches a metrics registry. The distributed sweep records the same
-    /// deterministic span/counter vocabulary as the single-process solver
-    /// (`detect/round/sweep/...`, `kl/passes`, `kl/moves_committed`,
-    /// `kl/bucket_adjusts`), so worker count is invisible outside the
-    /// `timings` section.
-    pub fn set_obs(&mut self, obs: rejecto_obs::Obs) {
-        self.obs = Some(obs);
-    }
-
-    /// Solves MAAR on `g` using a freshly spawned cluster.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::ClusterFailed`] when the cluster cannot be built or
-    /// loses every worker.
-    pub fn solve(&self, g: &AugmentedGraph) -> Result<DistributedOutcome, RuntimeError> {
-        let cluster = Cluster::new(g, &self.cluster_config)?;
-        self.solve_on(&cluster)
-    }
-
-    /// Solves MAAR against an existing cluster (graph already sharded),
-    /// arming the configured budgets and fault plan for this one solve.
-    ///
-    /// # Errors
-    ///
-    /// As [`DistributedMaar::solve`].
-    pub fn solve_on(&self, cluster: &Cluster) -> Result<DistributedOutcome, RuntimeError> {
-        let start = rejecto_obs::Stopwatch::start();
-        let ctx = RunContext::armed(&self.rejecto, self.obs.clone());
-        let mut source = ShardSource::new(cluster, &self.cluster_config);
-        let out = MaarSolver::new(self.rejecto.clone()).solve_with(&mut source, &[], &[], &ctx)?;
-        let completion = if out.interrupted {
-            Completion::Partial {
-                completed_rounds: 0,
-                completed_k_indices: out.completed_k_indices,
-                reason: ctx.interrupt_reason(),
-            }
-        } else {
-            Completion::Complete
-        };
-        let cut = out.cut;
-        Ok(DistributedOutcome {
-            suspects: cut.as_ref().map(|c| c.suspects()).unwrap_or_default(),
-            acceptance_rate: cut.as_ref().map(|c| c.acceptance_rate),
-            k: cut.as_ref().map(|c| c.k.value()),
-            k_exact: cut.as_ref().map(|c| c.k),
-            io: source.io(),
-            elapsed: start.elapsed(),
-            completion,
-            failures: out.failures,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::source::ShardSource;
+    use crate::DistributedDetector;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
-    use rejecto_core::MaarSolver;
+    use rejecto_core::{
+        Completion, FaultPlan, InitialPlacement, InterruptReason, MaarSolver, RejectoConfig,
+        RunBudget, RunContext, RuntimeError, Seeds, SweepOutcome, Termination,
+    };
     use simulator::{Scenario, ScenarioConfig};
     use socialgraph::generators::BarabasiAlbert;
+    use std::time::Instant;
 
     fn sim_graph() -> AugmentedGraph {
         let mut rng = ChaCha8Rng::seed_from_u64(5);
@@ -941,10 +818,32 @@ mod tests {
         .graph
     }
 
+    fn spawn(g: &AugmentedGraph, config: &ClusterConfig) -> Cluster {
+        Cluster::new(Arc::new(g.clone()), config).expect("valid test config")
+    }
+
+    /// One MAAR solve on `cluster` — the sweep (and, when it finds
+    /// nothing, the all-legit fallback) reading the shards — under
+    /// `rejecto`'s budgets and fault plan, with the traffic it caused.
+    fn solve_on(
+        cluster: &Cluster,
+        config: &ClusterConfig,
+        rejecto: RejectoConfig,
+    ) -> Result<(SweepOutcome, IoStats), ClusterError> {
+        let ctx = RunContext::armed(&rejecto, None);
+        let mut source = ShardSource::new(cluster, config);
+        let out = MaarSolver::new(rejecto).solve_with(&mut source, &[], &[], &ctx)?;
+        Ok((out, source.io()))
+    }
+
+    fn suspects(out: &SweepOutcome) -> Vec<NodeId> {
+        out.cut.as_ref().map(|c| c.suspects()).unwrap_or_default()
+    }
+
     #[test]
     fn cluster_shards_cover_all_nodes() {
         let g = sim_graph();
-        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
+        let cluster = spawn(&g, &ClusterConfig::default());
         assert_eq!(cluster.num_nodes(), 340);
         assert_eq!(cluster.num_workers(), 4);
         let mut io = IoStats::default();
@@ -958,7 +857,7 @@ mod tests {
     #[test]
     fn fetch_returns_correct_adjacency() {
         let g = sim_graph();
-        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
+        let cluster = spawn(&g, &ClusterConfig::default());
         let mut io = IoStats::default();
         let ids = [0u32, 150, 339];
         let fetched = cluster.fetch(&ids, &mut io).expect("healthy cluster serves fetches");
@@ -976,29 +875,30 @@ mod tests {
         let g = sim_graph();
         let config = RejectoConfig::default();
         let local = MaarSolver::new(config.clone()).solve(&g, &[], &[]).expect("local cut");
-        let dist = DistributedMaar::new(ClusterConfig::default(), config)
-            .solve(&g)
+        let cluster_config = ClusterConfig::default();
+        let (dist, _) = solve_on(&spawn(&g, &cluster_config), &cluster_config, config)
             .expect("distributed solve succeeds");
-        assert_eq!(dist.suspects, local.suspects(), "partitions diverged");
-        let ac = dist.acceptance_rate.expect("distributed cut");
+        assert_eq!(suspects(&dist), local.suspects(), "partitions diverged");
+        let ac = dist.cut.expect("distributed cut").acceptance_rate;
         assert!((ac - local.acceptance_rate).abs() < 1e-12);
-        assert_eq!(dist.completion, Completion::Complete);
+        assert!(!dist.interrupted);
         assert!(dist.failures.is_empty());
     }
 
     #[test]
     fn prefetching_served_most_lookups_from_buffer() {
         let g = sim_graph();
-        let dist = DistributedMaar::new(ClusterConfig::default(), RejectoConfig::default());
-        let out = dist.solve(&g).expect("distributed solve succeeds");
-        assert!(out.io.buffer_hits > 0);
+        let config = ClusterConfig::default();
+        let (_, io) = solve_on(&spawn(&g, &config), &config, RejectoConfig::default())
+            .expect("distributed solve succeeds");
+        assert!(io.buffer_hits > 0);
         // With batch prefetch, fetch round trips must be far fewer than
         // node lookups.
         assert!(
-            out.io.fetch_batches * 8 < out.io.buffer_hits + out.io.buffer_misses,
+            io.fetch_batches * 8 < io.buffer_hits + io.buffer_misses,
             "batches {} vs lookups {}",
-            out.io.fetch_batches,
-            out.io.buffer_hits + out.io.buffer_misses
+            io.fetch_batches,
+            io.buffer_hits + io.buffer_misses
         );
     }
 
@@ -1006,34 +906,28 @@ mod tests {
     fn tiny_buffer_forces_more_fetches_than_large_buffer() {
         let g = sim_graph();
         let rejecto = RejectoConfig::default();
-        let small = DistributedMaar::new(
-            ClusterConfig { buffer_capacity: 8, prefetch_batch: 4, ..Default::default() },
-            rejecto.clone(),
-        )
-        .solve(&g)
-        .expect("distributed solve succeeds");
-        let large = DistributedMaar::new(ClusterConfig::default(), rejecto)
-            .solve(&g)
+        let tiny = ClusterConfig { buffer_capacity: 8, prefetch_batch: 4, ..Default::default() };
+        let (small, small_io) = solve_on(&spawn(&g, &tiny), &tiny, rejecto.clone())
             .expect("distributed solve succeeds");
-        assert!(small.io.nodes_fetched > large.io.nodes_fetched);
-        assert_eq!(small.suspects, large.suspects, "buffering must not change the cut");
+        let roomy = ClusterConfig::default();
+        let (large, large_io) =
+            solve_on(&spawn(&g, &roomy), &roomy, rejecto).expect("distributed solve succeeds");
+        assert!(small_io.nodes_fetched > large_io.nodes_fetched);
+        assert_eq!(suspects(&small), suspects(&large), "buffering must not change the cut");
     }
 
     #[test]
     fn single_worker_cluster_works() {
         let g = sim_graph();
-        let dist = DistributedMaar::new(
-            ClusterConfig { num_workers: 1, ..Default::default() },
-            RejectoConfig::default(),
-        )
-        .solve(&g)
-        .expect("distributed solve succeeds");
-        assert!(!dist.suspects.is_empty());
+        let config = ClusterConfig { num_workers: 1, ..Default::default() };
+        let (dist, _) = solve_on(&spawn(&g, &config), &config, RejectoConfig::default())
+            .expect("distributed solve succeeds");
+        assert!(!suspects(&dist).is_empty());
     }
 
     #[test]
     fn invalid_configs_are_rejected_structurally() {
-        let g = sim_graph();
+        let g = Arc::new(sim_graph());
         for (config, needle) in [
             (ClusterConfig { num_workers: 0, ..Default::default() }, "num_workers"),
             (ClusterConfig { prefetch_batch: 0, ..Default::default() }, "prefetch_batch"),
@@ -1044,7 +938,7 @@ mod tests {
             ),
             (ClusterConfig { num_workers: 100_000, ..Default::default() }, "exceeds"),
         ] {
-            match Cluster::new(&g, &config) {
+            match Cluster::new(Arc::clone(&g), &config) {
                 Err(ClusterError::InvalidConfig { message }) => {
                     assert!(message.contains(needle), "{needle} not in: {message}");
                 }
@@ -1090,9 +984,6 @@ mod tests {
                 hangs_absorbed: 88,
             }
         );
-        let mut c = IoStats::default();
-        c += a;
-        assert_eq!(c, a, "AddAssign must route through the same merge");
     }
 
     #[test]
@@ -1107,56 +998,29 @@ mod tests {
             }
         }
         let g = b.build();
-        let single = DistributedMaar::new(
-            ClusterConfig::default(),
-            RejectoConfig {
-                initial_placement: InitialPlacement::AllLegit,
-                ..RejectoConfig::default()
-            },
-        )
-        .solve(&g)
-        .expect("distributed solve succeeds");
+        let config = ClusterConfig::default();
+        let all_legit = RejectoConfig {
+            initial_placement: InitialPlacement::AllLegit,
+            ..RejectoConfig::default()
+        };
+        let (_, single) =
+            solve_on(&spawn(&g, &config), &config, all_legit).expect("distributed solve succeeds");
 
-        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
+        let cluster = spawn(&g, &config);
         // Crash a worker so the *primary* sweep records a restart: a merge
         // that drops a field (the original bug dropped worker_restarts)
         // fails this test.
         cluster.fail_worker(1);
-        let out = DistributedMaar::new(ClusterConfig::default(), RejectoConfig::default())
-            .solve_on(&cluster)
+        let (out, io) = solve_on(&cluster, &config, RejectoConfig::default())
             .expect("distributed solve succeeds");
-        assert!(out.suspects.is_empty(), "a rejection-free graph has no cut");
+        assert!(suspects(&out).is_empty(), "a rejection-free graph has no cut");
         assert!(
-            out.io.worker_restarts >= 1,
+            io.worker_restarts >= 1,
             "the restart from the primary sweep must not be dropped by the merge"
         );
         // On this graph the warm start degenerates to all-legit, so the
         // merged counters must be exactly two single sweeps' worth.
-        assert_eq!(out.io.init_jobs, 2 * single.io.init_jobs);
-    }
-}
-
-#[cfg(test)]
-mod fault_tests {
-    use super::*;
-    use std::time::Instant;
-
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-    use rejecto_core::{FaultPlan, MaarSolver, RejectoConfig, RunBudget};
-    use simulator::{Scenario, ScenarioConfig};
-    use socialgraph::generators::BarabasiAlbert;
-
-    fn sim_graph() -> AugmentedGraph {
-        let mut rng = ChaCha8Rng::seed_from_u64(5);
-        let host = BarabasiAlbert::new(300, 4).generate(&mut rng);
-        Scenario::new(ScenarioConfig {
-            num_fakes: 40,
-            requests_per_spammer: 12,
-            ..ScenarioConfig::default()
-        })
-        .run(&host, 11)
-        .graph
+        assert_eq!(io.init_jobs, 2 * single.init_jobs);
     }
 
     /// A config whose watchdog and backoff are tuned for fast tests.
@@ -1171,20 +1035,19 @@ mod fault_tests {
     #[test]
     fn killed_worker_is_respawned_transparently() {
         let g = sim_graph();
-        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
+        let cluster = spawn(&g, &ClusterConfig::default());
         let mut io = IoStats::default();
         let before = cluster.stats(&mut io).expect("healthy cluster serves stats");
         cluster.fail_worker(2);
         let after = cluster.stats(&mut io).expect("crash is recovered");
         assert_eq!(before, after, "stats must survive a worker crash");
-        assert_eq!(cluster.worker_restarts(), 1);
         assert_eq!(io.worker_restarts, 1);
     }
 
     #[test]
     fn fetch_recovers_from_mid_run_failure() {
         let g = sim_graph();
-        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
+        let cluster = spawn(&g, &ClusterConfig::default());
         let mut io = IoStats::default();
         cluster.fail_worker(0);
         cluster.fail_worker(3);
@@ -1194,7 +1057,7 @@ mod fault_tests {
             let expect: Vec<u32> = g.friends(NodeId(id)).iter().map(|v| v.0).collect();
             assert_eq!(data.friends, expect, "node {id} after recovery");
         }
-        assert!(cluster.worker_restarts() >= 1);
+        assert!(io.worker_restarts >= 1);
     }
 
     #[test]
@@ -1204,88 +1067,75 @@ mod fault_tests {
         let local =
             MaarSolver::new(config.clone()).solve(&g, &[], &[]).expect("scenario admits a cut");
 
-        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
+        let cluster_config = ClusterConfig::default();
+        let cluster = spawn(&g, &cluster_config);
         // Crash two workers before the solve even starts.
         cluster.fail_worker(1);
         cluster.fail_worker(2);
-        let dist = DistributedMaar::new(ClusterConfig::default(), config);
-        let out = dist.solve_on(&cluster).expect("crashes are recovered");
-        assert_eq!(out.suspects, local.suspects(), "crash changed the cut");
-        assert!(out.io.worker_restarts >= 2);
+        let (out, io) = solve_on(&cluster, &cluster_config, config).expect("crashes are recovered");
+        assert_eq!(suspects(&out), local.suspects(), "crash changed the cut");
+        assert!(io.worker_restarts >= 2);
     }
 
     #[test]
     fn repeated_failures_of_same_worker_are_survivable() {
         let g = sim_graph();
-        let cluster = Cluster::new(&g, &ClusterConfig::default()).expect("valid default config");
+        let cluster = spawn(&g, &ClusterConfig::default());
         let mut io = IoStats::default();
         for _ in 0..3 {
             cluster.fail_worker(1);
             let s = cluster.stats(&mut io).expect("each crash is recovered");
             assert_eq!(s.len(), g.num_nodes());
         }
-        assert_eq!(cluster.worker_restarts(), 3);
+        assert_eq!(io.worker_restarts, 3);
+    }
+
+    /// [`solve_on`] on a fresh `config` cluster, with `faults` armed.
+    fn solve_faulted(
+        config: &ClusterConfig,
+        faults: &str,
+    ) -> Result<(SweepOutcome, IoStats), ClusterError> {
+        let rejecto = RejectoConfig {
+            faults: FaultPlan::parse(faults).expect("plan is well-formed"),
+            ..RejectoConfig::default()
+        };
+        solve_on(&spawn(&sim_graph(), config), config, rejecto)
     }
 
     #[test]
     fn injected_death_schedule_is_invisible_to_the_result() {
-        let g = sim_graph();
-        let clean = DistributedMaar::new(snappy(), RejectoConfig::default())
-            .solve(&g)
-            .expect("clean solve succeeds");
-        let faulted_config = RejectoConfig {
-            faults: FaultPlan::parse("worker_death@fetch=1,worker_death@fetch=4")
-                .expect("plan is well-formed"),
-            ..RejectoConfig::default()
-        };
-        let faulted = DistributedMaar::new(snappy(), faulted_config)
-            .solve(&g)
+        let (clean, _) = solve_faulted(&snappy(), "").expect("clean solve succeeds");
+        let (faulted, io) = solve_faulted(&snappy(), "worker_death@fetch=1,worker_death@fetch=4")
             .expect("deaths are recovered");
-        assert_eq!(faulted.suspects, clean.suspects, "injected deaths changed the cut");
-        assert_eq!(faulted.acceptance_rate, clean.acceptance_rate);
-        assert!(faulted.io.worker_restarts >= 2, "both scheduled deaths must fire");
-        assert_eq!(faulted.completion, Completion::Complete);
+        assert_eq!(suspects(&faulted), suspects(&clean), "injected deaths changed the cut");
+        assert_eq!(faulted.cut.map(|c| c.acceptance_rate), clean.cut.map(|c| c.acceptance_rate));
+        assert!(io.worker_restarts >= 2, "both scheduled deaths must fire");
+        assert!(!faulted.interrupted);
     }
 
     #[test]
     fn repeated_death_schedule_forces_a_rebalance() {
-        let g = sim_graph();
-        let clean = DistributedMaar::new(snappy(), RejectoConfig::default())
-            .solve(&g)
-            .expect("clean solve succeeds");
+        let (clean, _) = solve_faulted(&snappy(), "").expect("clean solve succeeds");
         // One respawn allowed per request; five consecutive deaths burn
         // through two whole budgets (2 × (1 try + 1 respawn)) and one more
         // try, forcing two rebalances before the request finally lands.
         let cluster_config = ClusterConfig { max_respawns: 1, ..snappy() };
-        let faulted_config = RejectoConfig {
-            faults: FaultPlan::parse("worker_death@fetch=2:x5").expect("plan is well-formed"),
-            ..RejectoConfig::default()
-        };
-        let faulted = DistributedMaar::new(cluster_config, faulted_config)
-            .solve(&g)
+        let (faulted, io) = solve_faulted(&cluster_config, "worker_death@fetch=2:x5")
             .expect("persistent deaths degrade to rebalancing, not failure");
-        assert_eq!(faulted.suspects, clean.suspects, "rebalancing changed the cut");
-        assert_eq!(faulted.acceptance_rate, clean.acceptance_rate);
-        assert_eq!(faulted.io.shards_rebalanced, 2, "five deaths at budget 1 = two merges");
-        assert!(faulted.io.worker_restarts >= 2);
+        assert_eq!(suspects(&faulted), suspects(&clean), "rebalancing changed the cut");
+        assert_eq!(faulted.cut.map(|c| c.acceptance_rate), clean.cut.map(|c| c.acceptance_rate));
+        assert_eq!(io.shards_rebalanced, 2, "five deaths at budget 1 = two merges");
+        assert!(io.worker_restarts >= 2);
     }
 
     #[test]
     fn hung_worker_is_detected_by_the_watchdog() {
-        let g = sim_graph();
-        let clean = DistributedMaar::new(snappy(), RejectoConfig::default())
-            .solve(&g)
-            .expect("clean solve succeeds");
-        let faulted_config = RejectoConfig {
-            faults: FaultPlan::parse("worker_hang@k=2").expect("plan is well-formed"),
-            ..RejectoConfig::default()
-        };
-        let faulted = DistributedMaar::new(snappy(), faulted_config)
-            .solve(&g)
-            .expect("the hang is recovered");
-        assert_eq!(faulted.suspects, clean.suspects, "the hang changed the cut");
-        assert_eq!(faulted.acceptance_rate, clean.acceptance_rate);
-        assert!(faulted.io.worker_restarts >= 1, "the watchdog must respawn the hung worker");
+        let (clean, _) = solve_faulted(&snappy(), "").expect("clean solve succeeds");
+        let (faulted, io) =
+            solve_faulted(&snappy(), "worker_hang@k=2").expect("the hang is recovered");
+        assert_eq!(suspects(&faulted), suspects(&clean), "the hang changed the cut");
+        assert_eq!(faulted.cut.map(|c| c.acceptance_rate), clean.cut.map(|c| c.acceptance_rate));
+        assert!(io.worker_restarts >= 1, "the watchdog must respawn the hung worker");
     }
 
     /// Regression test: the hang path of `exchange` used to wait out the
@@ -1303,7 +1153,7 @@ mod fault_tests {
             backoff_base: Duration::ZERO,
             ..ClusterConfig::default()
         };
-        let cluster = Cluster::new(&g, &config).expect("valid test config");
+        let cluster = spawn(&g, &config);
         // The mid-broadcast shape: the request is already in flight
         // (pending) when the injected hang swallows its response.
         cluster.workers.borrow_mut()[0].pending = true;
@@ -1325,17 +1175,11 @@ mod fault_tests {
 
     #[test]
     fn losing_every_worker_is_a_structured_error() {
-        let g = sim_graph();
         let cluster_config = ClusterConfig { num_workers: 2, max_respawns: 0, ..snappy() };
         // Enough deaths to chew through both workers at respawn budget 0.
-        let faulted_config = RejectoConfig {
-            faults: FaultPlan::parse("worker_death@fetch=1:x8").expect("plan is well-formed"),
-            ..RejectoConfig::default()
-        };
-        let err = DistributedMaar::new(cluster_config, faulted_config)
-            .solve(&g)
+        let err = solve_faulted(&cluster_config, "worker_death@fetch=1:x8")
             .expect_err("no survivor must be a structured failure");
-        match err {
+        match RuntimeError::from(err) {
             RuntimeError::ClusterFailed { message } => {
                 assert!(message.contains("no survivor"), "unexpected message: {message}");
             }
@@ -1343,18 +1187,44 @@ mod fault_tests {
         }
     }
 
+    /// One MAAR solve on a fresh default cluster under `budget`, with its
+    /// traffic and what interrupted it.
+    fn solve_under(budget: RunBudget) -> (SweepOutcome, IoStats, InterruptReason) {
+        let rejecto = RejectoConfig { budget, ..RejectoConfig::default() };
+        let config = ClusterConfig::default();
+        let cluster = spawn(&sim_graph(), &config);
+        let ctx = RunContext::armed(&rejecto, None);
+        let mut source = ShardSource::new(&cluster, &config);
+        let out = MaarSolver::new(rejecto)
+            .solve_with(&mut source, &[], &[], &ctx)
+            .expect("a tripped budget degrades, not fails");
+        (out, source.io(), ctx.interrupt_reason())
+    }
+
+    /// Distributed detection on [`sim_graph`] under `budget`: the run
+    /// that turns an interrupted first sweep into a `Partial` report.
+    fn detect_under(budget: RunBudget) -> rejecto_core::DetectionReport {
+        let config = RejectoConfig { budget, ..RejectoConfig::default() };
+        DistributedDetector::new(ClusterConfig::default(), config)
+            .detect(&sim_graph(), &Seeds::default(), Termination::AcceptanceThreshold(1.0))
+            .expect("a tripped budget degrades, not fails")
+    }
+
     #[test]
     fn zero_deadline_yields_a_partial_outcome_with_rollback() {
-        let g = sim_graph();
-        let config = RejectoConfig {
-            budget: RunBudget { deadline: Some(Duration::ZERO), ..RunBudget::unlimited() },
-            ..RejectoConfig::default()
-        };
-        let out = DistributedMaar::new(ClusterConfig::default(), config)
-            .solve(&g)
-            .expect("a tripped budget degrades, not fails");
-        assert!(out.suspects.is_empty(), "an interrupted sweep reports no cut");
-        match out.completion {
+        let budget = RunBudget { deadline: Some(Duration::ZERO), ..RunBudget::unlimited() };
+        let (out, io, reason) = solve_under(budget);
+        assert!(out.interrupted);
+        assert!(suspects(&out).is_empty(), "an interrupted sweep reports no cut");
+        assert!(out.completed_k_indices.is_empty(), "nothing completed under a zero deadline");
+        assert_eq!(reason, InterruptReason::Deadline);
+        // The sweep reads the degree stats (one broadcast), then the
+        // expired deadline skips every k before it reaches the workers.
+        assert_eq!((io.init_jobs, io.fetch_batches), (1, 0), "a cancelled k reached the cluster");
+
+        let report = detect_under(budget);
+        assert!(report.suspects().is_empty(), "the interrupted round is rolled back");
+        match report.completion {
             Completion::Partial { completed_rounds, completed_k_indices, reason } => {
                 assert_eq!(completed_rounds, 0);
                 assert!(completed_k_indices.is_empty(), "nothing completed under a zero deadline");
@@ -1366,23 +1236,23 @@ mod fault_tests {
 
     #[test]
     fn pass_budget_interrupts_the_sweep_midway() {
-        let g = sim_graph();
-        let config = RejectoConfig {
-            budget: RunBudget { max_kl_passes: Some(3), ..RunBudget::unlimited() },
-            ..RejectoConfig::default()
-        };
-        let sweep_len = config.k_sweep().len();
-        let out = DistributedMaar::new(ClusterConfig::default(), config)
-            .solve(&g)
-            .expect("a tripped budget degrades, not fails");
-        assert!(out.suspects.is_empty(), "an interrupted sweep reports no cut");
-        match out.completion {
+        let sweep_len = RejectoConfig::default().k_sweep().len();
+        let budget = RunBudget { max_kl_passes: Some(3), ..RunBudget::unlimited() };
+        let (out, _, reason) = solve_under(budget);
+        assert!(out.interrupted);
+        assert!(suspects(&out).is_empty(), "an interrupted sweep reports no cut");
+        assert_eq!(reason, InterruptReason::PassBudget);
+        assert!(
+            out.completed_k_indices.len() < sweep_len,
+            "three global passes cannot complete a {sweep_len}-k sweep"
+        );
+
+        let report = detect_under(budget);
+        assert!(report.suspects().is_empty(), "the interrupted round is rolled back");
+        match report.completion {
             Completion::Partial { completed_k_indices, reason, .. } => {
                 assert_eq!(reason, InterruptReason::PassBudget);
-                assert!(
-                    completed_k_indices.len() < sweep_len,
-                    "three global passes cannot complete a {sweep_len}-k sweep"
-                );
+                assert!(completed_k_indices.len() < sweep_len);
             }
             other => panic!("expected Partial, got {other:?}"),
         }

@@ -2,8 +2,8 @@
 //!
 //! [`DistributedDetector`] is `rejecto_core::IterativeDetector`'s pruning
 //! loop with one change: each round's residual graph is sharded onto a
-//! fresh [`Cluster`], and the round's MAAR sweep reads it through the
-//! shard-backed adjacency source. Budgets, the resource rollback,
+//! fresh cluster of worker threads, and the round's MAAR sweep reads it
+//! through the shard-backed adjacency source. Budgets, the resource rollback,
 //! checkpoints and fault injection are the core loop's own, so:
 //!
 //! * a run is **worker-count invariant** — the master's sweep is
@@ -20,7 +20,8 @@
 //! all workers is a [`RuntimeError::ClusterFailed`], not a panic.
 
 use crate::source::ShardSource;
-use crate::{Cluster, ClusterConfig, IoStats};
+use crate::cluster::Cluster;
+use crate::{ClusterConfig, IoStats};
 use rejection::{AugmentedGraph, NodeId};
 use rejecto_core::checkpoint::Checkpoint;
 use rejecto_core::{
@@ -117,31 +118,6 @@ impl DistributedDetector {
         Ok(self.run_with_io(g, seeds, termination, None, Some(sink))?.0)
     }
 
-    /// Continues a run from `checkpoint` exactly as if the original run
-    /// had never stopped. Checkpoints written by the single-process
-    /// detector resume distributed runs and vice versa — the format
-    /// records algorithm state, not deployment.
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::CheckpointMismatch`] (and friends) when the
-    /// checkpoint does not describe `g`;
-    /// [`RuntimeError::ClusterFailed`] as in
-    /// [`DistributedDetector::detect`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any seed id is out of range of `g`.
-    pub fn resume(
-        &self,
-        g: &AugmentedGraph,
-        seeds: &Seeds,
-        termination: Termination,
-        checkpoint: &Checkpoint,
-    ) -> Result<DetectionReport, RuntimeError> {
-        self.run(g, seeds, termination, Some(checkpoint), None)
-    }
-
     /// Any of the detect/resume × with/without-checkpoints modes: resumes
     /// from `resume_from` when given and checkpoints every completed round
     /// into `sink` when given.
@@ -190,7 +166,7 @@ impl DistributedDetector {
                     num_workers: self.cluster_config.num_workers.min(current.num_nodes().max(1)),
                     ..self.cluster_config
                 };
-                let cluster = Cluster::from_arc(Arc::new(current.clone()), &round_config)?;
+                let cluster = Cluster::new(Arc::new(current.clone()), &round_config)?;
                 let mut source = ShardSource::new(&cluster, &round_config);
                 let outcome = self.detector.solver().solve_with(&mut source, legit, spammer, ctx);
                 io.merge(&source.io());

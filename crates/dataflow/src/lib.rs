@@ -15,18 +15,18 @@
 //! This crate reproduces that layout in-process as a second adjacency
 //! source for the algorithm in `kl` and `rejecto_core`:
 //!
-//! * [`Cluster`] — long-lived worker threads holding graph shards, with
-//!   [`IoStats`] counting simulated master↔worker traffic and a
-//!   [`ClusterError`]-based failure model (respawn from lineage, watchdog
-//!   for hung workers, shard rebalancing onto survivors) instead of panics;
+//! * [`DistributedDetector`] — `rejecto_core::IterativeDetector`'s pruning
+//!   loop with each round's residual graph sharded onto a fresh cluster
+//!   sized by a [`ClusterConfig`]; the only way onto the cluster;
+//! * the cluster itself (crate-private): long-lived worker threads holding
+//!   graph shards, with [`IoStats`] counting simulated master↔worker
+//!   traffic and a [`ClusterError`]-based failure model (respawn from
+//!   lineage, watchdog for hung workers, shard rebalancing onto survivors)
+//!   instead of panics;
 //! * [`LruCache`] — the prefetch buffer with LRU eviction;
 //! * a shard-backed `kl::AdjacencySource` over a cluster and one LRU
 //!   buffer per sweep, and the `rejecto_core::SweepBackend` that runs a
-//!   sweep's `k` values on the master against it;
-//! * [`DistributedMaar`] — one MAAR solve on a cluster (the Table-II
-//!   harness measures wall time against graph size with it);
-//! * [`DistributedDetector`] — `rejecto_core::IterativeDetector`'s pruning
-//!   loop with each round's residual graph sharded onto a fresh cluster.
+//!   sweep's `k` values on the master against it.
 
 #![forbid(unsafe_code)]
 
@@ -36,7 +36,7 @@ mod error;
 mod lru;
 mod source;
 
-pub use cluster::{Cluster, ClusterConfig, DistributedMaar, DistributedOutcome, IoStats};
+pub use cluster::{ClusterConfig, IoStats};
 pub use detect::DistributedDetector;
 pub use error::ClusterError;
 pub use lru::LruCache;

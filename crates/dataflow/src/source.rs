@@ -7,8 +7,8 @@
 //! another on the master; the sweep, its reduction and the pruning loop
 //! are `rejecto_core`'s.
 
-use crate::cluster::NodeData;
-use crate::{Cluster, ClusterConfig, ClusterError, IoStats, LruCache};
+use crate::cluster::{Cluster, NodeData};
+use crate::{ClusterConfig, ClusterError, IoStats, LruCache};
 use kl::{AdjacencySource, BucketList, KParam};
 use rejection::{Adjacency, Degrees, NodeId, Region};
 use rejecto_core::{JobOutcome, KJob, KResult, RunContext, SweepBackend};

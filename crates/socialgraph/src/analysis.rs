@@ -1,5 +1,5 @@
-//! Structural analysis beyond the Table-I basics: degree distributions,
-//! power-law exponents, degree assortativity, and k-core decomposition.
+//! Structural analysis beyond the Table-I basics: power-law exponents,
+//! degree assortativity, and k-core decomposition.
 //!
 //! These characterize how faithful a surrogate is to its original dataset
 //! (degree skew and core structure shape how trust and cuts behave), and
@@ -7,36 +7,6 @@
 //! graph-based defense.
 
 use crate::{Graph, NodeId};
-
-/// Degree histogram: `hist[d]` = number of nodes with degree `d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let max = g.nodes().map(|u| g.degree(u)).max().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for u in g.nodes() {
-        hist[g.degree(u)] += 1;
-    }
-    hist
-}
-
-/// Complementary CDF of the degree distribution: `(d, P(deg >= d))` for
-/// every occupied degree, ascending in `d`. The straight-line-on-log-log
-/// signature of a power law shows up here.
-pub fn degree_ccdf(g: &Graph) -> Vec<(usize, f64)> {
-    let hist = degree_histogram(g);
-    let n: usize = hist.iter().sum();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let mut at_least = n;
-    for (d, &count) in hist.iter().enumerate() {
-        if count > 0 {
-            out.push((d, at_least as f64 / n as f64));
-        }
-        at_least -= count;
-    }
-    out
-}
 
 /// Maximum-likelihood estimate of a discrete power-law exponent `α` for
 /// the degree tail `deg >= d_min` (Clauset–Shalizi–Newman continuous
@@ -165,24 +135,6 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     #[test]
-    fn histogram_counts_nodes() {
-        let g = Graph::from_edges(4, [(0, 1), (0, 2), (0, 3)]);
-        let h = degree_histogram(&g);
-        assert_eq!(h, vec![0, 3, 0, 1]); // three leaves, one hub
-    }
-
-    #[test]
-    fn ccdf_is_monotone_and_starts_at_one() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let g = BarabasiAlbert::new(500, 3).generate(&mut rng);
-        let ccdf = degree_ccdf(&g);
-        assert_eq!(ccdf.first().expect("ccdf of a non-empty graph has entries").1, 1.0);
-        for w in ccdf.windows(2) {
-            assert!(w[0].1 >= w[1].1, "CCDF must not increase");
-        }
-    }
-
-    #[test]
     fn ba_alpha_is_near_three() {
         let mut rng = ChaCha8Rng::seed_from_u64(2);
         let g = BarabasiAlbert::new(20_000, 4).generate(&mut rng);
@@ -257,8 +209,6 @@ mod tests {
     #[test]
     fn empty_graph_is_handled() {
         let g = Graph::from_edges(0, []);
-        assert!(degree_histogram(&g).len() == 1);
-        assert!(degree_ccdf(&g).is_empty());
         assert!(core_numbers(&g).is_empty());
         assert_eq!(degeneracy(&g), 0);
     }

@@ -287,85 +287,3 @@ mod tests {
         assert!(connected_components(&g).is_empty());
     }
 }
-
-/// Conductance of a node set `S`: cut edges over the smaller side's edge
-/// volume, `|∂S| / min(vol(S), vol(V∖S))`. This is the quantity social-
-/// graph Sybil defenses reason about — a Sybil region attached by few
-/// attack edges is exactly a low-conductance set, and SybilRank's
-/// early-terminated walk relies on the legitimate region's conductance
-/// being much higher.
-///
-/// Returns `None` when either side has zero volume (no edges to compare).
-///
-/// # Panics
-///
-/// Panics if `in_set.len() != g.num_nodes()`.
-pub fn conductance(g: &Graph, in_set: &[bool]) -> Option<f64> {
-    assert_eq!(in_set.len(), g.num_nodes(), "set mask has wrong length");
-    let mut cut = 0u64;
-    let mut vol_s = 0u64;
-    let mut vol_rest = 0u64;
-    for u in g.nodes() {
-        let du = g.degree(u) as u64;
-        if in_set[u.index()] {
-            vol_s += du;
-            for &v in g.neighbors(u) {
-                if !in_set[v.index()] {
-                    cut += 1;
-                }
-            }
-        } else {
-            vol_rest += du;
-        }
-    }
-    let denom = vol_s.min(vol_rest);
-    if denom == 0 {
-        None
-    } else {
-        Some(cut as f64 / denom as f64)
-    }
-}
-
-#[cfg(test)]
-mod conductance_tests {
-    use super::*;
-    use crate::Graph;
-
-    #[test]
-    fn two_cliques_with_bridge_have_low_conductance() {
-        let mut edges = Vec::new();
-        for u in 0..4u32 {
-            for v in (u + 1)..4 {
-                edges.push((u, v));
-                edges.push((u + 4, v + 4));
-            }
-        }
-        edges.push((0, 4));
-        let g = Graph::from_edges(8, edges);
-        let in_set: Vec<bool> = (0..8).map(|i| i < 4).collect();
-        // One cut edge; each side's volume is 2·6 + 1 = 13.
-        let phi = conductance(&g, &in_set).expect("cut has volume");
-        assert!((phi - 1.0 / 13.0).abs() < 1e-12, "{phi}");
-    }
-
-    #[test]
-    fn split_of_complete_graph_has_high_conductance() {
-        let mut edges = Vec::new();
-        for u in 0..6u32 {
-            for v in (u + 1)..6 {
-                edges.push((u, v));
-            }
-        }
-        let g = Graph::from_edges(6, edges);
-        let in_set: Vec<bool> = (0..6).map(|i| i < 3).collect();
-        // Cut = 9, vol each side = 15.
-        assert!((conductance(&g, &in_set).expect("cut has volume") - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_side_is_undefined() {
-        let g = Graph::from_edges(3, [(0, 1), (1, 2)]);
-        assert!(conductance(&g, &[false, false, false]).is_none());
-        assert!(conductance(&g, &[true, true, true]).is_none());
-    }
-}

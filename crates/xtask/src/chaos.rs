@@ -365,11 +365,12 @@ fn resume_leg(
     let resume_config = config.clone();
     let checkpoint = resume.checkpoint;
     let resumed = catch_unwind(AssertUnwindSafe(move || {
-        IterativeDetector::new(resume_config).resume(
+        IterativeDetector::new(resume_config).run(
             graph,
             &Seeds::default(),
             termination,
-            &checkpoint,
+            Some(&checkpoint),
+            None,
         )
     }))
     .map_err(|_| format!("{ctx}: resume leg threads={threads} PANICKED"))?

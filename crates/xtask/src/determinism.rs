@@ -284,11 +284,12 @@ fn durable_store_legs() -> Result<(), String> {
                         ..RejectoConfig::default()
                     });
                     det.set_obs(obs.clone());
-                    det.resume(
+                    det.run(
                         &sim.graph,
                         &Seeds::default(),
                         Termination::SuspectBudget(FAKES),
-                        &resume.checkpoint,
+                        Some(&resume.checkpoint),
+                        None,
                     )
                     .map_err(|e| e.to_string())
                 },
@@ -329,11 +330,12 @@ fn durable_store_legs() -> Result<(), String> {
                         RejectoConfig::default(),
                     );
                     det.set_obs(obs.clone());
-                    det.resume(
+                    det.run(
                         &sim.graph,
                         &Seeds::default(),
                         Termination::SuspectBudget(FAKES),
-                        &resume.checkpoint,
+                        Some(&resume.checkpoint),
+                        None,
                     )
                     .map_err(|e| e.to_string())
                 },

@@ -1,13 +1,14 @@
-//! The distributed deployment (§V): run the MAAR solve on the
-//! master/worker runtime and compare against the single-process solver —
-//! identical cut, plus simulated network-traffic accounting.
+//! The distributed deployment (§V): run one detection round — a single
+//! MAAR sweep — on the master/worker runtime and compare against the
+//! single-process detector: identical report, plus simulated
+//! network-traffic accounting.
 //!
 //! ```sh
 //! cargo run --release --example distributed_cluster
 //! ```
 
-use rejecto::dataflow::{ClusterConfig, DistributedMaar};
-use rejecto::rejecto_core::{MaarSolver, RejectoConfig};
+use rejecto::dataflow::{ClusterConfig, DistributedDetector};
+use rejecto::rejecto_core::{IterativeDetector, RejectoConfig, RunBudget, Seeds, Termination};
 use rejecto::simulator::{Scenario, ScenarioConfig};
 use rejecto::socialgraph::surrogates::Surrogate;
 use std::time::Instant;
@@ -26,28 +27,40 @@ fn main() {
         sim.graph.num_rejections()
     );
 
-    let rejecto = RejectoConfig::default();
+    let rejecto = RejectoConfig {
+        budget: RunBudget { max_rounds: Some(1), ..RunBudget::unlimited() },
+        ..RejectoConfig::default()
+    };
+    let termination = Termination::SuspectBudget(sim.fakes.len());
 
     let t0 = Instant::now();
-    let local = MaarSolver::new(rejecto.clone())
-        .solve(&sim.graph, &[], &[])
-        .expect("a cut exists");
+    let local = IterativeDetector::new(rejecto.clone()).detect(
+        &sim.graph,
+        &Seeds::default(),
+        termination,
+    );
+    let group = local.groups.first().expect("a cut exists");
     println!(
         "single-process: {} suspects, acceptance rate {:.4}, {:?}",
-        local.suspects().len(),
-        local.acceptance_rate,
+        group.nodes.len(),
+        group.acceptance_rate,
         t0.elapsed()
     );
 
     for workers in [1, 2, 4, 8] {
         let cluster = ClusterConfig { num_workers: workers, ..ClusterConfig::default() };
-        let out = DistributedMaar::new(cluster, rejecto.clone())
-            .solve(&sim.graph)
-            .expect("healthy cluster must solve");
-        assert_eq!(out.suspects, local.suspects(), "distributed cut must match");
+        let t0 = Instant::now();
+        let (report, io) = DistributedDetector::new(cluster, rejecto.clone())
+            .detect_with_io(&sim.graph, &Seeds::default(), termination)
+            .expect("healthy cluster must detect");
+        assert_eq!(report, local, "distributed report must match");
         println!(
-            "{workers} worker(s): same cut in {:?} — {} fetch batches, {} nodes shipped, {} buffer hits",
-            out.elapsed, out.io.fetch_batches, out.io.nodes_fetched, out.io.buffer_hits
+            "{workers} worker(s): same report in {:?} — {} fetch batches, \
+             {} nodes shipped, {} buffer hits",
+            t0.elapsed(),
+            io.fetch_batches,
+            io.nodes_fetched,
+            io.buffer_hits
         );
     }
     println!("\nThe prefetching LRU buffer turns per-move fetches into one round trip per batch.");

@@ -143,7 +143,13 @@ fn kill_and_resume_reproduces_the_uninterrupted_run() {
         let json = Checkpoint::capture(&sim.graph, &halted).to_json();
         let restored = Checkpoint::from_json(&json).expect("checkpoint JSON round-trips");
         let resumed = DistributedDetector::new(snappy(workers), RejectoConfig::default())
-            .resume(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES), &restored)
+            .run(
+                &sim.graph,
+                &Seeds::default(),
+                Termination::SuspectBudget(FAKES),
+                Some(&restored),
+                None,
+            )
             .expect("resume accepts its own checkpoint");
         assert_eq!(resumed, full, "kill-and-resume diverged at workers={workers}");
     }
@@ -170,7 +176,7 @@ fn faults_survive_a_resume_boundary() {
         ..RejectoConfig::default()
     };
     let resumed = DistributedDetector::new(snappy(2), faulted_config)
-        .resume(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES), &ckpt)
+        .run(&sim.graph, &Seeds::default(), Termination::SuspectBudget(FAKES), Some(&ckpt), None)
         .expect("faulted resume with a survivor must detect");
     assert_eq!(resumed, full, "post-resume fault recovery leaked into the report");
 }

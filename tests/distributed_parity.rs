@@ -1,29 +1,28 @@
 //! Cross-validation of the distributed runtime against the single-process
-//! solver: identical cuts on varied scenarios, cluster shapes, and buffer
-//! configurations.
+//! detector: identical reports, every round, on varied scenarios, cluster
+//! shapes, and buffer configurations.
 
-use rejecto::dataflow::{ClusterConfig, DistributedDetector, DistributedMaar};
+use rejecto::dataflow::{ClusterConfig, DistributedDetector};
 use rejecto::rejection::{AugmentedGraphBuilder, NodeId};
-use rejecto::rejecto_core::{IterativeDetector, MaarSolver, RejectoConfig, Seeds, Termination};
+use rejecto::rejecto_core::{IterativeDetector, RejectoConfig, Seeds, Termination};
 use rejecto::simulator::{Scenario, ScenarioConfig, SelfRejectionConfig};
 use rejecto::socialgraph::surrogates::Surrogate;
 
 fn check_parity(cfg: ScenarioConfig, cluster: ClusterConfig, seed: u64) {
     let host = Surrogate::Facebook.generate_scaled(seed, 0.04);
+    let termination = Termination::SuspectBudget(cfg.num_fakes);
     let sim = Scenario::new(cfg).run(&host, seed);
     let rejecto = RejectoConfig::default();
-    let local = MaarSolver::new(rejecto.clone()).solve(&sim.graph, &[], &[]);
-    let dist = DistributedMaar::new(cluster, rejecto)
-        .solve(&sim.graph)
-        .expect("healthy cluster must solve");
-    match local {
-        Some(cut) => {
-            assert_eq!(dist.suspects, cut.suspects(), "cut mismatch (seed {seed})");
-            let ac = dist.acceptance_rate.expect("distributed found no cut");
-            assert!((ac - cut.acceptance_rate).abs() < 1e-12);
-        }
-        None => assert!(dist.suspects.is_empty(), "distributed found a phantom cut"),
-    }
+    let local = IterativeDetector::new(rejecto.clone()).detect(
+        &sim.graph,
+        &Seeds::default(),
+        termination,
+    );
+    let dist = DistributedDetector::new(cluster, rejecto)
+        .detect(&sim.graph, &Seeds::default(), termination)
+        .expect("healthy cluster must detect");
+    assert!(!local.groups.is_empty(), "fixture degenerated: no group found (seed {seed})");
+    assert_eq!(dist, local, "report mismatch (seed {seed})");
 }
 
 #[test]
@@ -100,14 +99,6 @@ fn tiny_graph_suspect_cap_clamps_to_one_on_the_cluster() {
     let g = b.build();
     let config = RejectoConfig { max_suspect_fraction: 0.2, ..RejectoConfig::default() };
     let cluster = ClusterConfig { num_workers: 2, ..ClusterConfig::default() };
-
-    let local =
-        MaarSolver::new(config.clone()).solve(&g, &[], &[]).expect("clamped cap admits the cut");
-    assert_eq!(local.suspects(), vec![NodeId(3)]);
-    let dist = DistributedMaar::new(cluster, config.clone())
-        .solve(&g)
-        .expect("healthy cluster must solve");
-    assert_eq!(dist.suspects, local.suspects(), "distributed solver lost the clamp");
 
     let termination = Termination::SuspectBudget(1);
     let local_report =
