@@ -7,7 +7,7 @@ use rejection::{AugmentedGraph, Degrees, NodeId, Partition, Region};
 use std::convert::Infallible;
 
 /// A minimum-aggregate-acceptance-rate cut found by [`MaarSolver`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MaarCut {
     /// The partition; its suspect region is the detected group.
     pub partition: Partition,
@@ -55,7 +55,7 @@ pub trait SweepBackend {
     type Source: AdjacencySource<Error = Self::Error>;
 
     /// Per-node degrees of the graph, read once at the start of every
-    /// sweep (the warm start ranks nodes by rejection ratio).
+    /// solve (the warm start ranks nodes by rejection ratio).
     ///
     /// # Errors
     ///
@@ -65,14 +65,14 @@ pub trait SweepBackend {
     /// Runs `job` for every sweep index in `0..jobs` and returns the
     /// outcomes slotted by index. Once `ctx`'s token trips, unstarted jobs
     /// are [`JobOutcome::Skipped`]. `degrees` is what [`Self::degrees`]
-    /// returned for this sweep.
+    /// returned for this solve.
     ///
     /// # Errors
     ///
     /// The first graph-read failure; the sweep is abandoned.
     fn run_ks(
         &mut self,
-        degrees: Vec<Degrees>,
+        degrees: &[Degrees],
         jobs: usize,
         ctx: &RunContext,
         job: &KJob<'_, Self::Source>,
@@ -81,7 +81,7 @@ pub trait SweepBackend {
 
 /// Everything one monitored sweep (or its warm-start fallback pair)
 /// produced, for the pruning loop's bookkeeping.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct SweepOutcome {
     /// The winning cut, when the sweep ran to completion and found one.
     pub cut: Option<MaarCut>,
@@ -119,7 +119,7 @@ impl SweepBackend for PoolBackend<'_> {
     /// retry stays [`JobOutcome::Panicked`].
     fn run_ks(
         &mut self,
-        _: Vec<Degrees>,
+        _: &[Degrees],
         jobs: usize,
         ctx: &RunContext,
         job: &KJob<'_, AugmentedGraph>,
@@ -205,7 +205,8 @@ impl MaarSolver {
 
     /// The monitored solve on any [`SweepBackend`]: the primary sweep from
     /// the configured placement, then — when the warm start found nothing
-    /// — the all-legit fallback sweep. Seed ids are in the backend's graph.
+    /// and started from a region other than the all-legit one — the
+    /// all-legit fallback sweep. Seed ids are in the backend's graph.
     ///
     /// # Errors
     ///
@@ -221,17 +222,26 @@ impl MaarSolver {
         spammer_seeds: &[NodeId],
         ctx: &RunContext,
     ) -> Result<SweepOutcome, B::Error> {
-        let placement = self.config.initial_placement;
-        let first = self.sweep(backend, legit_seeds, spammer_seeds, placement, ctx)?;
-        if first.cut.is_some() || first.interrupted || placement == InitialPlacement::AllLegit {
+        let degrees = backend.degrees()?;
+        let cap = self.suspect_cap(degrees.len());
+        let regions = |placement| {
+            self.initial_regions(&degrees, legit_seeds, spammer_seeds, placement, cap)
+        };
+        let start = regions(self.config.initial_placement);
+        let all_legit = regions(InitialPlacement::AllLegit);
+        let locked = [legit_seeds, spammer_seeds].concat();
+        let first = self.sweep(backend, &degrees, cap, &locked, &start, ctx)?;
+        // A warm start that placed no node beyond the seeds *is* the
+        // all-legit start, and a fallback from it would replay the primary
+        // sweep move for move (same graph, start, locks, k list and cap).
+        if first.cut.is_some() || first.interrupted || start == all_legit {
             return Ok(first);
         }
         // The warm start can steer every k toward a cut larger than the
         // admissible suspect region (KL optimizes unconstrained); fall back
         // to the all-legit start, whose best-prefix mechanism grows cuts
         // incrementally and stays small when small cuts suffice.
-        let mut fallback =
-            self.sweep(backend, legit_seeds, spammer_seeds, InitialPlacement::AllLegit, ctx)?;
+        let mut fallback = self.sweep(backend, &degrees, cap, &locked, &all_legit, ctx)?;
         // Failures from the primary sweep stay on the record: a skipped k
         // degrades the primary sweep's answer whether or not the fallback
         // ran cleanly.
@@ -249,24 +259,23 @@ impl MaarSolver {
         ((self.config.max_suspect_fraction * n as f64).floor() as usize).max(1) // xtask-allow: lossy-cast: n < 2^53 converts exactly and the floored fraction lies in [0, n]
     }
 
-    /// Sweeps every `k`, each an independent extended-KL run, and reduces
-    /// to the admissible cut with the lowest acceptance rate. The reduction
-    /// scans slots in sweep order and keeps a candidate only when
+    /// Sweeps every `k`, each an independent extended-KL run from `start`
+    /// with the `locked` seeds pinned, and reduces to the admissible cut
+    /// (at most `cap` suspects) with the lowest acceptance rate. The
+    /// reduction scans slots in sweep order and keeps a candidate only when
     /// *strictly* better — lowest acceptance rate, earliest sweep index
     /// wins — so neither thread count nor deployment can change the winner.
     fn sweep<B: SweepBackend>(
         &self,
         backend: &mut B,
-        legit_seeds: &[NodeId],
-        spammer_seeds: &[NodeId],
-        placement: InitialPlacement,
+        degrees: &[Degrees],
+        cap: usize,
+        locked: &[NodeId],
+        start: &[Region],
         ctx: &RunContext,
     ) -> Result<SweepOutcome, B::Error> {
         let _sweep_span = ctx.obs.as_ref().map(|o| o.span("detect/round/sweep"));
-        let degrees = backend.degrees()?;
-        let cap = self.suspect_cap(degrees.len());
         let ks = self.config.k_sweep();
-        let init = self.initial_regions(&degrees, legit_seeds, spammer_seeds, placement, cap);
         let job = |src: &B::Source, i: usize| -> Result<KResult, B::Error> {
             // Opened inside the job: a detonated pool worker must record
             // nothing, so its deterministic serial retry leaves the metrics
@@ -279,10 +288,10 @@ impl MaarSolver {
             if let Some(obs) = &ctx.obs {
                 kl.set_obs(obs.clone());
             }
-            for &s in legit_seeds.iter().chain(spammer_seeds) {
+            for &s in locked {
                 kl.lock(s);
             }
-            let out = kl.try_run(init.clone())?;
+            let out = kl.try_run(start.to_vec())?;
             if out.interrupted {
                 return Ok(KResult::Interrupted);
             }
@@ -499,6 +508,69 @@ mod tests {
             let cut = out.cut.expect("retried sweep still finds the cut");
             assert_eq!(cut.suspects(), clean.suspects(), "threads={threads}");
             assert_eq!(cut.acceptance_rate.to_bits(), clean.acceptance_rate.to_bits());
+        }
+    }
+
+    /// The sweep's outcome under `config` at `threads`, and how many
+    /// sweeps it ran.
+    fn solve_counting_sweeps(
+        g: &AugmentedGraph,
+        config: &RejectoConfig,
+        threads: usize,
+    ) -> (SweepOutcome, u64) {
+        let solver = MaarSolver::new(RejectoConfig { threads, ..config.clone() });
+        let obs = rejecto_obs::Obs::new();
+        let ctx = RunContext::armed(solver.config(), Some(obs.clone()));
+        let out = solver.solve_monitored(g, &[], &[], &ctx);
+        (out, obs.span_count("detect/round/sweep"))
+    }
+
+    #[test]
+    fn warm_start_that_places_nobody_skips_the_replayed_fallback() {
+        // A rejection-free ring: no node reaches the 0.5 warm-start
+        // threshold, so the warm start is the all-legit start, and no k
+        // finds a cut.
+        let mut b = AugmentedGraphBuilder::new(5);
+        for i in 0..5u32 {
+            b.add_friendship(NodeId(i), NodeId((i + 1) % 5));
+        }
+        let g = b.build();
+        let warm = RejectoConfig::default();
+        let all_legit =
+            RejectoConfig { initial_placement: InitialPlacement::AllLegit, ..warm.clone() };
+        for threads in [1, 4] {
+            let (out, sweeps) = solve_counting_sweeps(&g, &warm, threads);
+            assert!(out.cut.is_none(), "threads={threads}: the fixture admits no cut");
+            assert_eq!(sweeps, 1, "threads={threads}: the fallback would replay the primary");
+            let (reference, _) = solve_counting_sweeps(&g, &all_legit, threads);
+            assert_eq!(out, reference, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn warm_start_that_finds_nothing_still_falls_back() {
+        // Nodes 0, 1, 3, 4 and 5 all sit at rejection ratio 0.5, and the
+        // cap of 2 suspects (0.4 · 6) warm-starts nodes 0 and 1; no k
+        // converges to an admissible cut from there, while the all-legit
+        // start finds {3, 5}.
+        let mut b = AugmentedGraphBuilder::new(6);
+        for (u, v) in [(3, 5), (0, 4), (1, 2)] {
+            b.add_friendship(NodeId(u), NodeId(v));
+        }
+        for (r, s) in [(2, 5), (3, 1), (5, 4), (4, 3), (2, 0)] {
+            b.add_rejection(NodeId(r), NodeId(s));
+        }
+        let g = b.build();
+        let warm = RejectoConfig { max_suspect_fraction: 0.4, ..RejectoConfig::default() };
+        let all_legit =
+            RejectoConfig { initial_placement: InitialPlacement::AllLegit, ..warm.clone() };
+        for threads in [1, 4] {
+            let (out, sweeps) = solve_counting_sweeps(&g, &warm, threads);
+            assert_eq!(sweeps, 2, "threads={threads}: the primary sweep found nothing");
+            let (fallback, _) = solve_counting_sweeps(&g, &all_legit, threads);
+            assert_eq!(out, fallback, "threads={threads}: the fallback's cut is the answer");
+            let cut = out.cut.expect("the all-legit start finds a cut");
+            assert_eq!(cut.suspects(), vec![NodeId(3), NodeId(5)], "threads={threads}");
         }
     }
 

@@ -70,6 +70,35 @@ fn persistent_worker_panic_degrades_identically_across_thread_counts() {
     assert_eq!(serial.completion, Completion::Complete);
     let parallel = detect(&sim, config_with(4, "worker_panic@k=3:always"));
     assert_eq!(serial, parallel, "degraded reports differ across thread counts");
+
+    // Run on until a round finds no cut. That last round's warm start
+    // places nobody, so its all-legit fallback would replay the primary
+    // sweep; skipping it, every failed (round, k_index) is listed once.
+    let mut exhaustive = Vec::new();
+    for threads in [1, 4] {
+        let report = IterativeDetector::new(config_with(threads, "worker_panic@k=3:always"))
+            .detect(&sim.graph, &Seeds::default(), Termination::SuspectBudget(usize::MAX));
+        let mut failed: Vec<(usize, usize)> = report
+            .failures
+            .iter()
+            .filter_map(|f| match f {
+                RuntimeError::WorkerFailed { round, k_index, .. } => Some((*round, *k_index)),
+                _ => None,
+            })
+            .collect();
+        let listed = failed.len();
+        failed.sort_unstable();
+        failed.dedup();
+        assert_eq!(
+            failed.len(),
+            listed,
+            "threads={threads}: a WorkerFailed is listed twice: {:?}",
+            report.failures
+        );
+        assert!(listed >= 2, "threads={threads}: every round must record its failure");
+        exhaustive.push(report);
+    }
+    assert_eq!(exhaustive[0], exhaustive[1], "degraded reports differ across thread counts");
 }
 
 #[test]

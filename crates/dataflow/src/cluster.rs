@@ -986,18 +986,24 @@ mod tests {
         );
     }
 
-    #[test]
-    fn all_legit_retry_path_keeps_every_io_counter() {
-        // A rejection-free graph has no cut under either placement, so the
-        // warm-started primary sweep finds nothing and the solver retries
-        // all-legit; the primary sweep's counters must survive the merge.
+    /// A rejection-free 12-node clique: no cut under any start.
+    fn clique() -> AugmentedGraph {
         let mut b = rejection::AugmentedGraphBuilder::new(12);
         for u in 0..12u32 {
             for v in (u + 1)..12 {
                 b.add_friendship(NodeId(u), NodeId(v));
             }
         }
-        let g = b.build();
+        b.build()
+    }
+
+    #[test]
+    fn all_legit_retry_path_keeps_every_io_counter() {
+        // A zero warm-start threshold places the cap's worth of nodes, and
+        // on a rejection-free graph the primary sweep from there finds no
+        // cut, so the solver really runs the all-legit fallback; the
+        // primary sweep's counters must survive the merge.
+        let g = clique();
         let config = ClusterConfig::default();
         let all_legit = RejectoConfig {
             initial_placement: InitialPlacement::AllLegit,
@@ -1011,16 +1017,51 @@ mod tests {
         // that drops a field (the original bug dropped worker_restarts)
         // fails this test.
         cluster.fail_worker(1);
-        let (out, io) = solve_on(&cluster, &config, RejectoConfig::default())
+        let warm = RejectoConfig {
+            initial_placement: InitialPlacement::RejectionRatio(0.0),
+            ..RejectoConfig::default()
+        };
+        let obs = rejecto_obs::Obs::new();
+        let ctx = RunContext::armed(&warm, Some(obs.clone()));
+        let mut source = ShardSource::new(&cluster, &config);
+        let out = MaarSolver::new(warm.clone())
+            .solve_with(&mut source, &[], &[], &ctx)
             .expect("distributed solve succeeds");
+        let io = source.io();
         assert!(suspects(&out).is_empty(), "a rejection-free graph has no cut");
+        assert_eq!(obs.span_count("detect/round/sweep"), 2, "the fallback must run");
         assert!(
             io.worker_restarts >= 1,
             "the restart from the primary sweep must not be dropped by the merge"
         );
-        // On this graph the warm start degenerates to all-legit, so the
-        // merged counters must be exactly two single sweeps' worth.
-        assert_eq!(io.init_jobs, 2 * single.init_jobs);
+        // The fallback is exactly the all-legit solve bar its one degree
+        // read; every k of the primary adds at least its cut-count job.
+        let primary_k_runs = u64::try_from(warm.k_sweep().len()).expect("a short sweep");
+        assert!(
+            io.init_jobs >= single.init_jobs + primary_k_runs,
+            "the primary sweep's init jobs were dropped: {} vs {}",
+            io.init_jobs,
+            single.init_jobs
+        );
+    }
+
+    #[test]
+    fn degenerate_warm_start_pays_for_one_sweep() {
+        // On the clique no node reaches the default warm-start threshold,
+        // so the warm start is the all-legit start and the fallback would
+        // replay the primary sweep: the solve costs one sweep's traffic.
+        let g = clique();
+        let config = ClusterConfig::default();
+        let all_legit = RejectoConfig {
+            initial_placement: InitialPlacement::AllLegit,
+            ..RejectoConfig::default()
+        };
+        let (_, single) =
+            solve_on(&spawn(&g, &config), &config, all_legit).expect("distributed solve succeeds");
+        let (out, io) = solve_on(&spawn(&g, &config), &config, RejectoConfig::default())
+            .expect("distributed solve succeeds");
+        assert!(suspects(&out).is_empty(), "a rejection-free graph has no cut");
+        assert_eq!(io.init_jobs, single.init_jobs);
     }
 
     /// A config whose watchdog and backoff are tuned for fast tests.

@@ -128,12 +128,12 @@ impl SweepBackend for ShardSource<'_> {
     /// that sweep index is armed.
     fn run_ks(
         &mut self,
-        degrees: Vec<Degrees>,
+        degrees: &[Degrees],
         jobs: usize,
         ctx: &RunContext,
         job: &KJob<'_, Self>,
     ) -> Result<Vec<JobOutcome<KResult>>, ClusterError> {
-        self.degrees = degrees;
+        degrees.clone_into(&mut self.degrees);
         *self.buffer.get_mut() = LruCache::new(self.config.buffer_capacity);
         self.cluster.arm_faults(ctx.faults());
         let mut slots = Vec::with_capacity(jobs);

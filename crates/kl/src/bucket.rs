@@ -129,16 +129,8 @@ impl BucketList {
     pub fn insert(&mut self, node: u32, gain: i64) {
         debug_assert!(!self.present[ix(node)], "node {node} already in bucket list");
         let b = self.bucket_of(gain);
-        let head = self.heads[b];
-        self.next[ix(node)] = head;
-        self.prev[ix(node)] = NIL;
-        if head != NIL {
-            self.prev[ix(head)] = node;
-        }
-        self.heads[b] = node;
-        self.gain[ix(node)] = gain;
+        self.link(node, gain, b);
         self.present[ix(node)] = true;
-        self.high = self.high.max(b);
         self.len += 1;
     }
 
@@ -150,16 +142,7 @@ impl BucketList {
     /// that `node` is indexed.
     pub fn remove(&mut self, node: u32) {
         debug_assert!(self.present[ix(node)], "node {node} not in bucket list");
-        let b = self.bucket_of(self.gain[ix(node)]);
-        let (p, n) = (self.prev[ix(node)], self.next[ix(node)]);
-        if p != NIL {
-            self.next[ix(p)] = n;
-        } else {
-            self.heads[b] = n;
-        }
-        if n != NIL {
-            self.prev[ix(n)] = p;
-        }
+        self.unlink(node);
         self.present[ix(node)] = false;
         self.len -= 1;
     }
@@ -178,7 +161,10 @@ impl BucketList {
         self.insert(node, gain);
     }
 
-    /// Adds `delta` to the gain of an indexed node.
+    /// Adds `delta` to the gain of an indexed node. The node is moved in
+    /// place to the head of its new gain's chain, the chain order
+    /// [`remove`](Self::remove) then [`insert`](Self::insert) leaves, so
+    /// pop order (and with it every tie-break) is the same.
     ///
     /// # Panics
     ///
@@ -187,8 +173,42 @@ impl BucketList {
         if delta == 0 {
             return;
         }
-        let g = self.gain_of(node);
-        self.update(node, g + delta);
+        debug_assert!(self.present[ix(node)], "node {node} not in bucket list");
+        let gain = self.gain[ix(node)] + delta;
+        let b = self.bucket_of(gain);
+        self.unlink(node);
+        self.link(node, gain, b);
+    }
+
+    /// Files `node` under `gain` at the head of bucket `b`, which must be
+    /// [`bucket_of(gain)`](Self::bucket_of).
+    #[inline]
+    fn link(&mut self, node: u32, gain: i64, b: usize) {
+        let head = self.heads[b];
+        self.next[ix(node)] = head;
+        self.prev[ix(node)] = NIL;
+        if head != NIL {
+            self.prev[ix(head)] = node;
+        }
+        self.heads[b] = node;
+        self.gain[ix(node)] = gain;
+        self.high = self.high.max(b);
+    }
+
+    /// Splices `node` out of the chain its recorded gain files it under.
+    #[inline]
+    fn unlink(&mut self, node: u32) {
+        let (p, n) = (self.prev[ix(node)], self.next[ix(node)]);
+        if p != NIL {
+            self.next[ix(p)] = n;
+        } else {
+            // The recorded gain passed `bucket_of` when it was filed.
+            let b = (self.gain[ix(node)] - self.min_gain) as usize; // xtask-allow: lossy-cast: a filed gain lies in [min_gain, max_gain], so the offset is a valid bucket index
+            self.heads[b] = n;
+        }
+        if n != NIL {
+            self.prev[ix(n)] = p;
+        }
     }
 
     /// The maximum gain among indexed nodes, if any.

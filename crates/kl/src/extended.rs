@@ -168,6 +168,10 @@ impl<'a, S: AdjacencySource> ExtendedKl<'a, S> {
         let mut region = initial;
         let (mut cf, mut cr) = self.src.cut_counts(&region)?;
         let bound = self.src.gain_bound(self.cfg.k);
+        // One tentative region copy, gain index and switching sequence for
+        // the whole run; every pass overwrites or drains them.
+        let mut tmp = region.clone();
+        let mut bucket = BucketList::new(region.len(), -bound, bound);
         let mut seq: Vec<Move> = Vec::with_capacity(region.len());
         let mut passes = 0usize;
         let mut moves_committed = 0u64;
@@ -183,7 +187,7 @@ impl<'a, S: AdjacencySource> ExtendedKl<'a, S> {
             }
             passes += 1;
             let _pass_span = self.obs.as_ref().map(|o| o.span("detect/round/sweep/k_index/kl_pass"));
-            let (best_prefix, adjusts) = self.one_pass(&region, bound, &mut seq)?;
+            let (best_prefix, adjusts) = self.one_pass(&region, &mut tmp, &mut bucket, &mut seq)?;
             bucket_adjusts += adjusts;
             let Some(end) = best_prefix else { break };
             for &(u, df, dr) in &seq[..=end] {
@@ -245,72 +249,97 @@ impl<'a, S: AdjacencySource> ExtendedKl<'a, S> {
     /// One greedy pass from `region`: fills `seq` with the full switching
     /// sequence and returns the index of the best strictly positive prefix
     /// (if any) and the number of incremental gain-bucket adjustments.
+    /// `tmp` is overwritten with `region` and `bucket` must be empty; the
+    /// pass drains it again, so the next pass can reuse it as is.
     fn one_pass(
         &self,
         region: &[Region],
-        bound: i64,
+        tmp: &mut [Region],
+        bucket: &mut BucketList,
         seq: &mut Vec<Move>,
     ) -> Result<(Option<usize>, u64), S::Error> {
         let num = obj_i64(self.cfg.k.num());
         let den = obj_i64(self.cfg.k.den());
-        let mut tmp = region.to_vec();
-        let mut bucket = BucketList::new(tmp.len(), -bound, bound);
-        let gains = self.src.initial_gains(&tmp, self.cfg.k)?;
+        debug_assert!(bucket.is_empty(), "a pass starts from a drained gain index");
+        tmp.copy_from_slice(region);
+        let gains = self.src.initial_gains(tmp, self.cfg.k)?;
         for ((u, gain), &locked) in (0u32..).zip(gains).zip(&self.locked) {
             if !locked {
                 bucket.insert(u, gain);
             }
         }
         #[cfg(feature = "debug-invariants")]
-        self.check_gain_index(&tmp, &bucket);
+        self.check_gain_index(tmp, bucket);
 
         seq.clear();
         let narrow = |d: i64| i32::try_from(d).expect("a switch delta is bounded by a degree");
         let mut adjusts = 0u64;
         while !bucket.is_empty() {
-            let batch = self.src.prefetch(&mut bucket)?;
+            let batch = self.src.prefetch(bucket)?;
             for _ in 0..batch {
                 let Some((u, gain)) = bucket.pop_max() else { break };
                 let u_id = NodeId(u);
                 let from = tmp[u_id.index()];
                 let now_in = from.other();
+                // One walk over u's adjacency, with u still in `from`,
+                // both derives u's own (Δcross_friendships,
+                // Δcross_rejections) and adjusts its still-indexed
+                // neighbors' gains. The graph has no self-loops (the
+                // builder drops them), so no neighbor is u itself.
                 let delta = self.src.with_neighbours(u_id, |adj| {
-                    let delta = adj.switch_delta(u_id, &tmp);
-                    tmp[u_id.index()] = now_in;
-                    // Incremental gain updates for u's still-indexed
-                    // neighbors. Friendship edges: the (v, u) term of v's
-                    // Δfriendship flips.
+                    #[cfg(feature = "debug-invariants")]
+                    let expected = adj.switch_delta(u_id, tmp);
+                    let (mut df, mut dr) = (0i64, 0i64);
+                    // Friendship edges: one to a same-region friend becomes
+                    // cross, one to an other-region friend internal; the
+                    // (v, u) term of v's Δfriendship flips the same way.
                     for &v in adj.friends {
                         let v: NodeId = v.into();
+                        let t = if tmp[v.index()] == from { 1 } else { -1 };
+                        df += t;
                         if bucket.contains(v.0) {
-                            let t = if tmp[v.index()] == from { 1 } else { -1 };
                             bucket.adjust(v.0, 2 * den * t);
                             adjusts += 1;
                         }
                     }
-                    // u rejected v  ⇒  u is a rejector of v: v's "rejectors
+                    // u rejected v: ⟨u, v⟩ is cross iff u is Legit and v
+                    // Suspect, and u is a rejector of v, so v's "rejectors
                     // in Legit" count changed by ±1.
+                    let da = if now_in == Region::Legit { 1 } else { -1 };
                     for &v in adj.rejected_by {
                         let v: NodeId = v.into();
+                        let s_v = if tmp[v.index()] == Region::Legit { 1 } else { -1 };
+                        if s_v < 0 {
+                            dr += da;
+                        }
                         if bucket.contains(v.0) {
-                            let da = if now_in == Region::Legit { 1 } else { -1 };
-                            let s_v = if tmp[v.index()] == Region::Legit { 1 } else { -1 };
                             bucket.adjust(v.0, num * s_v * da);
                             adjusts += 1;
                         }
                     }
-                    // v rejected u  ⇒  u is in v's rejected set: v's
+                    // v rejected u: ⟨v, u⟩ is cross iff v is Legit and u
+                    // Suspect, and u is in v's rejected set, so v's
                     // "rejectees in Suspect" count changed by ±1.
+                    let db = -da;
                     for &v in adj.rejectors_of {
                         let v: NodeId = v.into();
+                        let s_v = if tmp[v.index()] == Region::Legit { 1 } else { -1 };
+                        if s_v > 0 {
+                            dr += db;
+                        }
                         if bucket.contains(v.0) {
-                            let db = if now_in == Region::Suspect { 1 } else { -1 };
-                            let s_v = if tmp[v.index()] == Region::Legit { 1 } else { -1 };
                             bucket.adjust(v.0, -num * s_v * db);
                             adjusts += 1;
                         }
                     }
-                    delta
+                    tmp[u_id.index()] = now_in;
+                    #[cfg(feature = "debug-invariants")]
+                    assert_eq!(
+                        (df, dr),
+                        expected,
+                        "walked switch delta of node {u} disagrees with switch_delta"
+                    );
+                    (df, dr)
                 })?;
                 debug_assert_eq!(
                     gain,
@@ -319,7 +348,7 @@ impl<'a, S: AdjacencySource> ExtendedKl<'a, S> {
                 );
                 seq.push((u, narrow(delta.0), narrow(delta.1)));
                 #[cfg(feature = "debug-invariants")]
-                self.check_gain_index(&tmp, &bucket);
+                self.check_gain_index(tmp, bucket);
             }
         }
 

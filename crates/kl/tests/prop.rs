@@ -81,6 +81,60 @@ proptest! {
     }
 }
 
+#[derive(Debug, Clone)]
+enum AdjustOp {
+    Insert(u32, i64),
+    Adjust(u32, i64),
+    PopMax,
+}
+
+fn adjust_op_strategy(nodes: u32, bound: i64) -> impl Strategy<Value = AdjustOp> {
+    prop_oneof![
+        (0..nodes, -bound..=bound).prop_map(|(n, g)| AdjustOp::Insert(n, g)),
+        (0..nodes, -bound..=bound).prop_map(|(n, d)| AdjustOp::Adjust(n, d)),
+        (0..nodes, -bound..=bound).prop_map(|(n, d)| AdjustOp::Adjust(n, d)),
+        Just(AdjustOp::PopMax),
+    ]
+}
+
+proptest! {
+    /// The in-place `adjust` leaves every chain in the order `remove` then
+    /// `insert` leaves it: under any insert/adjust/pop sequence both pop
+    /// the same `(node, gain)` sequence, ties included. Adjusts that would
+    /// leave the gain range are skipped on both sides.
+    #[test]
+    fn in_place_adjust_pops_like_remove_then_insert(
+        ops in proptest::collection::vec(adjust_op_strategy(10, 12), 1..300),
+    ) {
+        let mut fast = BucketList::new(10, -12, 12);
+        let mut reference = BucketList::new(10, -12, 12);
+        for op in ops {
+            match op {
+                AdjustOp::Insert(n, g) => {
+                    if !fast.contains(n) {
+                        fast.insert(n, g);
+                        reference.insert(n, g);
+                    }
+                }
+                AdjustOp::Adjust(n, d) => {
+                    if fast.contains(n) && (-12..=12).contains(&(fast.gain_of(n) + d)) {
+                        fast.adjust(n, d);
+                        if d != 0 {
+                            let g = reference.gain_of(n) + d;
+                            reference.remove(n);
+                            reference.insert(n, g);
+                        }
+                    }
+                }
+                AdjustOp::PopMax => prop_assert_eq!(fast.pop_max(), reference.pop_max()),
+            }
+            prop_assert_eq!(fast.len(), reference.len());
+        }
+        let drain = |b: &mut BucketList| std::iter::from_fn(|| b.pop_max()).collect::<Vec<_>>();
+        prop_assert_eq!(drain(&mut fast), drain(&mut reference));
+    }
+}
+
 proptest! {
     /// `geometric_sequence` is strictly increasing under the exact
     /// rational order for any bounds, factor, and denominator resolution —
