@@ -12,8 +12,6 @@
 //! * prints a paper-style text table and writes machine-readable JSON rows
 //!   under `results/`.
 
-#![forbid(unsafe_code)]
-
 pub mod plot;
 
 use serde::Serialize;

@@ -35,8 +35,6 @@
 //! assert_eq!(report.suspects(), vec![NodeId(2)]);
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub mod chaos;
 pub mod checkpoint;
 mod config;

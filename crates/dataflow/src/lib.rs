@@ -28,8 +28,6 @@
 //!   buffer per sweep, and the `rejecto_core::SweepBackend` that runs a
 //!   sweep's `k` values on the master against it.
 
-#![forbid(unsafe_code)]
-
 mod cluster;
 mod detect;
 mod error;

@@ -22,8 +22,6 @@
 //! gain an exact integer `num·ΔR − den·ΔF` — no floating-point tie-break
 //! instability in the bucket list.
 
-#![forbid(unsafe_code)]
-
 mod bucket;
 mod cancel;
 mod extended;

@@ -37,8 +37,6 @@
 //! is hand-rolled so the byte layout is owned by this file and versioned
 //! by [`SCHEMA`].
 
-#![forbid(unsafe_code)]
-
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, PoisonError};

@@ -33,8 +33,6 @@
 //! assert_eq!(sim.is_fake.iter().filter(|&&f| f).count(), 50);
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod purchased;
 mod requests;
 mod scenario;

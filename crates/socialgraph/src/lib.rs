@@ -29,8 +29,6 @@
 //! assert_eq!(g.degree(NodeId(1)), 2);
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod error;
 mod graph;
 mod id;

@@ -25,8 +25,6 @@
 //! assert!(ranking.score(NodeId(1)) > ranking.score(NodeId(4)));
 //! ```
 
-#![forbid(unsafe_code)]
-
 mod fence;
 
 pub use fence::{SybilFence, SybilFenceConfig};

@@ -23,8 +23,6 @@
 //! rates, so collusion dilutes it, and fakes that send no requests keep the
 //! default rating and are missed entirely.
 
-#![forbid(unsafe_code)]
-
 mod request_graph;
 mod trust;
 

@@ -3,14 +3,14 @@
 //! Each fixture is a standalone Rust source (never compiled — read as
 //! data) with `//~` directives:
 //!
-//! * `//~ crate: <name>` / `//~ path: <rel path>` / `//~ root` headers
+//! * `//~ crate: <name>` / `//~ path: <rel path>` headers
 //!   set the [`SourceFile`] context the rules key on;
 //! * `//~ expect: <rule>[@<line>][, <rule>...]` markers state exactly
 //!   which diagnostics the file must produce. Without `@<line>` the
 //!   marker's own line is the expected line; the `@` form exists for
-//!   diagnostics that cannot share a line with a marker (file-level
-//!   `forbid-unsafe`, lines already carrying an `xtask-allow` pragma
-//!   whose reason parse would swallow the marker).
+//!   diagnostics that cannot share a line with a marker (lines already
+//!   carrying an `xtask-allow` pragma whose reason parse would swallow
+//!   the marker).
 //!
 //! The harness lints every fixture and requires the violation set to
 //! match the markers *exactly* — so `*_pass` fixtures (no markers) must
@@ -26,7 +26,6 @@ struct Fixture {
     name: String,
     crate_name: String,
     rel_path: String,
-    is_root: bool,
     expects: Vec<(String, usize)>,
     text: String,
 }
@@ -49,7 +48,6 @@ fn parse_fixture(path: &Path) -> Fixture {
     let text = std::fs::read_to_string(path).expect("fixture is readable utf-8");
     let mut crate_name = String::new();
     let mut rel_path = String::new();
-    let mut is_root = false;
     let mut expects = Vec::new();
     for (idx, line) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -57,8 +55,6 @@ fn parse_fixture(path: &Path) -> Fixture {
             crate_name = rest.trim().to_string();
         } else if let Some(rest) = line.trim().strip_prefix("//~ path:") {
             rel_path = rest.trim().to_string();
-        } else if line.trim() == "//~ root" {
-            is_root = true;
         }
         if let Some(at) = line.find("//~ expect:") {
             let spec = &line[at + "//~ expect:".len()..];
@@ -79,7 +75,7 @@ fn parse_fixture(path: &Path) -> Fixture {
     }
     assert!(!crate_name.is_empty(), "{name}: missing `//~ crate:` header");
     assert!(!rel_path.is_empty(), "{name}: missing `//~ path:` header");
-    Fixture { name, crate_name, rel_path, is_root, expects, text }
+    Fixture { name, crate_name, rel_path, expects, text }
 }
 
 fn sorted(mut v: Vec<(String, usize)>) -> Vec<(String, usize)> {
@@ -95,7 +91,6 @@ fn corpus_matches_expectations() {
         let got: Vec<(String, usize)> = lint_file(&SourceFile {
             rel_path: &f.rel_path,
             crate_name: &f.crate_name,
-            is_crate_root: f.is_root,
             text: &f.text,
         })
         .iter()

@@ -15,8 +15,6 @@
 //! 3. **no-hash-collections** — the deterministic kernels (`socialgraph`,
 //!    `kl`, `core`) may not use `HashMap`/`HashSet`: iteration order is
 //!    hasher-seed-dependent. Use `BTreeMap`/`BTreeSet` or sorted `Vec`s.
-//! 4. **forbid-unsafe** — every crate root must carry
-//!    `#![forbid(unsafe_code)]`.
 //! 5. **no-panic** — library *runtime* paths (the `/src/` trees of the
 //!    [`NO_UNWRAP_CRATES`], outside `#[cfg(test)]` modules and the
 //!    dedicated invariants modules) may not call `panic!`, `todo!`, or
@@ -192,7 +190,6 @@ pub const RULES: &[&str] = &[
     "no-unwrap",
     "no-unseeded-rng",
     "no-hash-collections",
-    "forbid-unsafe",
     "no-panic",
     "no-ad-hoc-threads",
     "float-determinism",
@@ -241,8 +238,6 @@ pub struct SourceFile<'a> {
     pub rel_path: &'a str,
     /// Directory name under `crates/`, or `"rejecto"` for the root package.
     pub crate_name: &'a str,
-    /// Whether this file is a crate root (`lib.rs` / `main.rs`).
-    pub is_crate_root: bool,
     /// File contents.
     pub text: &'a str,
 }
@@ -769,32 +764,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
         }
     }
 
-    // ---- forbid-unsafe ------------------------------------------------
-    if f.is_crate_root {
-        let mut found = false;
-        for i in 0..e.sig.len() {
-            if e.is_punct(i, "#")
-                && e.is_punct(i + 1, "!")
-                && e.is_punct(i + 2, "[")
-                && e.is_ident(i + 3, "forbid")
-                && e.is_punct(i + 4, "(")
-                && e.is_ident(i + 5, "unsafe_code")
-                && e.is_punct(i + 6, ")")
-                && e.is_punct(i + 7, "]")
-            {
-                found = true;
-                break;
-            }
-        }
-        if !found {
-            e.emit(
-                "forbid-unsafe",
-                1,
-                "crate root must declare `#![forbid(unsafe_code)]`".to_string(),
-            );
-        }
-    }
-
     // ---- dead-pragma ----------------------------------------------------
     // Runs last: any pragma the rule passes above never consulted is rot.
     for i in 0..e.pragmas.len() {
@@ -835,7 +804,7 @@ mod tests {
     use super::*;
 
     fn file<'a>(crate_name: &'a str, text: &'a str) -> SourceFile<'a> {
-        SourceFile { rel_path: "crates/test/src/x.rs", crate_name, is_crate_root: false, text }
+        SourceFile { rel_path: "crates/test/src/x.rs", crate_name, text }
     }
 
     fn rules(v: &[Violation]) -> Vec<&'static str> {
@@ -997,7 +966,6 @@ mod tests {
         let f = SourceFile {
             rel_path: "crates/core/src/pool.rs",
             crate_name: "core",
-            is_crate_root: false,
             text: "crossbeam::thread::scope(|s| { s.spawn(|| {}); });\n",
         };
         assert!(lint_file(&f).is_empty());
@@ -1075,7 +1043,6 @@ mod tests {
         let f = SourceFile {
             rel_path: "crates/core/src/invariants.rs",
             crate_name: "core",
-            is_crate_root: false,
             text: "pub fn check() { panic!(\"corrupted bookkeeping\"); }\n",
         };
         assert!(lint_file(&f).is_empty());
@@ -1086,7 +1053,6 @@ mod tests {
         let f = SourceFile {
             rel_path: "crates/core/tests/faults.rs",
             crate_name: "core",
-            is_crate_root: false,
             text: "fn f() { panic!(\"assertion\"); }\n",
         };
         assert!(lint_file(&f).is_empty());
@@ -1147,45 +1113,6 @@ mod tests {
     fn panic_mention_in_comment_is_ignored() {
         let src = "// a worker panic!(...) here would abort\nfn f() {}\n";
         assert!(lint_file(&file("core", src)).is_empty());
-    }
-
-    // ---- forbid-unsafe ------------------------------------------------
-
-    #[test]
-    fn crate_root_without_forbid_unsafe_is_flagged() {
-        let f = SourceFile {
-            rel_path: "crates/test/src/lib.rs",
-            crate_name: "votetrust",
-            is_crate_root: true,
-            text: "//! docs\npub fn f() {}\n",
-        };
-        let v = lint_file(&f);
-        assert_eq!(rules(&v), ["forbid-unsafe"]);
-    }
-
-    #[test]
-    fn crate_root_with_forbid_unsafe_passes() {
-        let f = SourceFile {
-            rel_path: "crates/test/src/lib.rs",
-            crate_name: "votetrust",
-            is_crate_root: true,
-            text: "//! docs\n#![forbid(unsafe_code)]\npub fn f() {}\n",
-        };
-        assert!(lint_file(&f).is_empty());
-    }
-
-    /// The attribute must be real code — quoting it in a doc comment or
-    /// string does not satisfy the rule (a PR 2 false-negative class).
-    #[test]
-    fn forbid_unsafe_inside_string_does_not_count() {
-        let f = SourceFile {
-            rel_path: "crates/test/src/lib.rs",
-            crate_name: "votetrust",
-            is_crate_root: true,
-            text: "//! `#![forbid(unsafe_code)]`\nconst A: &str = \"#![forbid(unsafe_code)]\";\n",
-        };
-        let v = lint_file(&f);
-        assert_eq!(rules(&v), ["forbid-unsafe"]);
     }
 
     // ---- float-determinism --------------------------------------------
@@ -1362,7 +1289,6 @@ mod tests {
         let f = SourceFile {
             rel_path: "crates/kl/src/cancel.rs",
             crate_name: "kl",
-            is_crate_root: false,
             text: "fn f() { let at = Instant::now(); }\n",
         };
         assert!(lint_file(&f).is_empty());
@@ -1406,7 +1332,6 @@ mod tests {
         let f = SourceFile {
             rel_path: "crates/core/src/store.rs",
             crate_name: "core",
-            is_crate_root: false,
             text: "fn f() { let w = File::create(\"t.tmp\"); }\n",
         };
         assert!(lint_file(&f).is_empty());
@@ -1417,7 +1342,6 @@ mod tests {
         let f = SourceFile {
             rel_path: "src/cli/commands.rs",
             crate_name: "rejecto",
-            is_crate_root: false,
             text: "fn f() { std::fs::write(\"m.json\", b\"x\").ok(); }\n",
         };
         assert_eq!(rules(&lint_file(&f)), ["durable-io"]);
@@ -1434,7 +1358,6 @@ mod tests {
         let tests_dir = SourceFile {
             rel_path: "crates/core/tests/store.rs",
             crate_name: "core",
-            is_crate_root: false,
             text: src,
         };
         assert!(lint_file(&tests_dir).is_empty());
@@ -1504,7 +1427,6 @@ mod tests {
         let f = SourceFile {
             rel_path: "crates/dataflow/src/cluster.rs",
             crate_name: "dataflow",
-            is_crate_root: false,
             text: "use std::sync::Mutex;\n",
         };
         assert!(lint_file(&f).is_empty());

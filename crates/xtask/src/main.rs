@@ -25,8 +25,6 @@
 //! error. `--fix-dry-run` findings are informational and never affect
 //! the exit code.
 
-#![forbid(unsafe_code)]
-
 mod chaos;
 mod determinism;
 mod fix;
@@ -119,7 +117,7 @@ fn check(with_determinism: bool, json: bool, fix_dry_run: bool) -> ExitCode {
     let sources = read_sources(&root);
     let violations = run_lints(&sources);
     let fixable: Vec<fix::FixCandidate> = if fix_dry_run {
-        sources.iter().flat_map(|(rel, _, _, text)| fix::scan_file(rel, text)).collect()
+        sources.iter().flat_map(|(rel, _, text)| fix::scan_file(rel, text)).collect()
     } else {
         Vec::new()
     };
@@ -254,12 +252,12 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Every first-party `.rs` file, as `(absolute path, crate name,
-/// is_crate_root)`. Scans `crates/*/{src,tests,benches}` and the root
-/// package's `src/`; `vendor/` (third-party stubs), `target/`, and the
-/// lint fixture corpus (`crates/xtask/fixtures/`, deliberately full of
-/// violations) are out of scope. Deterministic order (sorted walk).
-fn collect_sources(root: &Path) -> Vec<(PathBuf, String, bool)> {
+/// Every first-party `.rs` file, as `(absolute path, crate name)`. Scans
+/// `crates/*/{src,tests,benches}` and the root package's `src/`;
+/// `vendor/` (third-party stubs), `target/`, and the lint fixture corpus
+/// (`crates/xtask/fixtures/`, deliberately full of violations) are out of
+/// scope. Deterministic order (sorted walk).
+fn collect_sources(root: &Path) -> Vec<(PathBuf, String)> {
     let mut out = Vec::new();
     let crates_dir = root.join("crates");
     for crate_dir in sorted_dirs(&crates_dir) {
@@ -270,45 +268,33 @@ fn collect_sources(root: &Path) -> Vec<(PathBuf, String, bool)> {
             .to_string();
         for sub in ["src", "tests", "benches"] {
             walk_rs(&crate_dir.join(sub), &mut |path| {
-                let is_root = sub == "src"
-                    && path.parent() == Some(crate_dir.join("src").as_path())
-                    && matches!(
-                        path.file_name().and_then(|n| n.to_str()),
-                        Some("lib.rs") | Some("main.rs")
-                    );
-                out.push((path.to_path_buf(), crate_name.clone(), is_root));
+                out.push((path.to_path_buf(), crate_name.clone()));
             });
         }
     }
-    let root_src = root.join("src");
-    walk_rs(&root_src, &mut |path| {
-        let is_root = path.parent() == Some(root_src.as_path())
-            && matches!(
-                path.file_name().and_then(|n| n.to_str()),
-                Some("lib.rs") | Some("main.rs")
-            );
-        out.push((path.to_path_buf(), "rejecto".to_string(), is_root));
+    walk_rs(&root.join("src"), &mut |path| {
+        out.push((path.to_path_buf(), "rejecto".to_string()));
     });
     out
 }
 
-/// Reads every source file once: `(rel path, crate, is_root, text)`.
+/// Reads every source file once: `(rel path, crate, text)`.
 /// Unreadable files become synthetic entries whose "text" is empty; the
 /// lint runner reports them as `io` violations.
-fn read_sources(root: &Path) -> Vec<(String, String, bool, String)> {
+fn read_sources(root: &Path) -> Vec<(String, String, String)> {
     collect_sources(root)
         .into_iter()
-        .map(|(path, crate_name, is_root)| {
+        .map(|(path, crate_name)| {
             let rel = rel(root, &path);
             let text = std::fs::read_to_string(&path).unwrap_or_else(|e| format!("\u{0}io error: {e}"));
-            (rel, crate_name, is_root, text)
+            (rel, crate_name, text)
         })
         .collect()
 }
 
-fn run_lints(sources: &[(String, String, bool, String)]) -> Vec<Violation> {
+fn run_lints(sources: &[(String, String, String)]) -> Vec<Violation> {
     let mut violations = Vec::new();
-    for (rel_path, crate_name, is_crate_root, text) in sources {
+    for (rel_path, crate_name, text) in sources {
         if let Some(err) = text.strip_prefix('\u{0}') {
             violations.push(Violation {
                 file: rel_path.clone(),
@@ -319,12 +305,7 @@ fn run_lints(sources: &[(String, String, bool, String)]) -> Vec<Violation> {
             });
             continue;
         }
-        violations.extend(lint::lint_file(&SourceFile {
-            rel_path,
-            crate_name,
-            is_crate_root: *is_crate_root,
-            text,
-        }));
+        violations.extend(lint::lint_file(&SourceFile { rel_path, crate_name, text }));
     }
     violations
 }

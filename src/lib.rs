@@ -44,8 +44,6 @@
 //! assert!(accuracy > 0.9, "precision {accuracy}");
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use dataflow;
 pub use eval;
 pub use kl;
