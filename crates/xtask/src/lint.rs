@@ -9,9 +9,6 @@
 //! 1. **no-unwrap** — library crates may not call `.unwrap()`; failures
 //!    must surface either as `Result`s or as `.expect("<invariant>")`
 //!    with a message long enough to actually state the invariant.
-//! 2. **no-unseeded-rng** — `thread_rng()` draws from OS entropy and
-//!    destroys run-to-run reproducibility; every RNG in the pipeline must
-//!    be seeded (`ChaCha8Rng::seed_from_u64`).
 //! 3. **no-hash-collections** — the deterministic kernels (`socialgraph`,
 //!    `kl`, `core`) may not use `HashMap`/`HashSet`: iteration order is
 //!    hasher-seed-dependent. Use `BTreeMap`/`BTreeSet` or sorted `Vec`s.
@@ -105,12 +102,6 @@ pub const NO_HASH_CRATES: &[&str] = &["socialgraph", "kl", "core"];
 /// with a stated reason.
 pub const NO_ASSERT_CRATES: &[&str] = &["dataflow", "kl"];
 
-/// Crates exempt from **no-unseeded-rng**: `bench` measures wall-clock
-/// behavior and may randomize. (`xtask` no longer needs an exemption —
-/// its rule fixtures live in string literals, which the lexer correctly
-/// refuses to lint as code.)
-pub const RNG_EXEMPT_CRATES: &[&str] = &["bench"];
-
 /// The only first-party modules allowed to spawn OS threads
 /// (**no-ad-hoc-threads**). Everything else must route parallelism
 /// through these: `core/pool.rs` is the deterministic MAAR-sweep worker
@@ -188,7 +179,6 @@ pub const SYNC_PRIMITIVE_MODULES: &[&str] = &["crates/dataflow/src/cluster.rs"];
 /// pragma naming it parses) but is itself never suppressible.
 pub const RULES: &[&str] = &[
     "no-unwrap",
-    "no-unseeded-rng",
     "no-hash-collections",
     "no-panic",
     "no-ad-hoc-threads",
@@ -440,7 +430,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
 
     let unwrap_banned = NO_UNWRAP_CRATES.contains(&f.crate_name);
     let hash_banned = NO_HASH_CRATES.contains(&f.crate_name);
-    let rng_banned = !RNG_EXEMPT_CRATES.contains(&f.crate_name);
     let threads_banned = !THREAD_POOL_MODULES.contains(&f.rel_path);
     // The runtime-path rules cover `/src/` trees only, minus the
     // invariants modules (whose whole job is panicking on corrupted
@@ -549,17 +538,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
                     );
                 }
             }
-        }
-
-        // ---- no-unseeded-rng ------------------------------------------
-        if rng_banned && e.is_ident(i, "thread_rng") {
-            e.emit(
-                "no-unseeded-rng",
-                line,
-                "`thread_rng` is unseeded and breaks reproducibility; \
-                 use `ChaCha8Rng::seed_from_u64`"
-                    .to_string(),
-            );
         }
 
         // ---- no-ad-hoc-threads ----------------------------------------
@@ -895,26 +873,6 @@ mod tests {
     fn computed_expect_message_passes() {
         let src = "let x = opt.expect(&format!(\"no {u}\"));\n";
         assert!(lint_file(&file("rejection", src)).is_empty());
-    }
-
-    // ---- no-unseeded-rng ----------------------------------------------
-
-    #[test]
-    fn thread_rng_is_flagged_everywhere_but_exempt_crates() {
-        let src = "let mut rng = rand::thread_rng();\n";
-        let v = lint_file(&file("simulator", src));
-        assert_eq!(rules(&v), ["no-unseeded-rng"]);
-        assert!(lint_file(&file("bench", src)).is_empty());
-    }
-
-    /// `xtask` needed a crate-level exemption under the line scanner
-    /// because its own pattern tables mention `thread_rng` in strings.
-    /// Token-level linting makes the exemption unnecessary.
-    #[test]
-    fn thread_rng_in_string_is_ignored_even_in_xtask() {
-        let src = "let pats = [\"thread_rng\"];\n";
-        assert!(lint_file(&file("xtask", src)).is_empty());
-        assert!(lint_file(&file("simulator", src)).is_empty());
     }
 
     // ---- no-hash-collections ------------------------------------------
