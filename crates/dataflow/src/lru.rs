@@ -1,5 +1,9 @@
 //! The master's prefetch buffer (§V): a fixed-capacity LRU cache.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed lookup only: eviction order lives in the recency list, never in map iteration"
+)]
 use std::collections::HashMap;
 
 const NIL: usize = usize::MAX;
@@ -32,6 +36,10 @@ struct Slot<V> {
 #[derive(Debug, Clone)]
 pub struct LruCache<V> {
     slots: Vec<Slot<V>>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup only: eviction order lives in the recency list, never in map iteration"
+    )]
     index: HashMap<u32, usize>,
     head: usize, // most recently used
     tail: usize, // least recently used
@@ -44,6 +52,10 @@ impl<V> LruCache<V> {
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed lookup only: eviction order lives in the recency list, never in map iteration"
+    )]
     pub fn new(capacity: usize) -> Self {
         // Constructor contract, unreachable from cluster paths: ClusterConfig
         // validation rejects zero buffer capacities before a cache is built.

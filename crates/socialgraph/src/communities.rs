@@ -68,8 +68,8 @@ impl Communities {
 /// Label counts live in a `BTreeMap` so the scan order over candidate
 /// labels is the label order itself, never allocator- or hash-seed
 /// dependent: for a fixed `rng` seed the outcome is reproducible
-/// byte-for-byte (`cargo xtask check` bans `HashMap` iteration in this
-/// crate for exactly this reason).
+/// byte-for-byte (`clippy.toml` bans `HashMap` for exactly this
+/// reason).
 ///
 /// `max_rounds` caps the iteration (label propagation can oscillate on
 /// bipartite-ish structures).

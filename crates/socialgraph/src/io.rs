@@ -176,8 +176,8 @@ fn read_edge_list_impl<R: Read>(
     limits: EdgeListLimits,
 ) -> Result<(Graph, Vec<u64>, LoadStats), GraphError> {
     let reader = BufReader::new(reader);
-    // BTreeMap rather than HashMap: this crate's kernels are under the
-    // `cargo xtask check` hash-collection ban, and the interner's dense ids
+    // BTreeMap rather than HashMap: `clippy.toml` bans hash collections,
+    // and the interner's dense ids
     // must depend only on input order, never on hasher state.
     let mut ids: BTreeMap<u64, u32> = BTreeMap::new();
     let mut labels: Vec<u64> = Vec::new();

@@ -9,9 +9,6 @@
 //! 1. **no-unwrap** — library crates may not call `.unwrap()`; failures
 //!    must surface either as `Result`s or as `.expect("<invariant>")`
 //!    with a message long enough to actually state the invariant.
-//! 3. **no-hash-collections** — the deterministic kernels (`socialgraph`,
-//!    `kl`, `core`) may not use `HashMap`/`HashSet`: iteration order is
-//!    hasher-seed-dependent. Use `BTreeMap`/`BTreeSet` or sorted `Vec`s.
 //! 5. **no-panic** — library *runtime* paths (the `/src/` trees of the
 //!    [`NO_UNWRAP_CRATES`], outside `#[cfg(test)]` modules and the
 //!    dedicated invariants modules) may not call `panic!`, `todo!`, or
@@ -88,9 +85,6 @@ pub const NO_UNWRAP_CRATES: &[&str] = &[
     "dataflow",
     "obs",
 ];
-
-/// Crates whose kernels must stay free of hash collections entirely.
-pub const NO_HASH_CRATES: &[&str] = &["socialgraph", "kl", "core"];
 
 /// Crates whose runtime paths may not use `assert!` at all (**no-panic**):
 /// `dataflow` because the distributed runtime must degrade through the
@@ -179,7 +173,6 @@ pub const SYNC_PRIMITIVE_MODULES: &[&str] = &["crates/dataflow/src/cluster.rs"];
 /// pragma naming it parses) but is itself never suppressible.
 pub const RULES: &[&str] = &[
     "no-unwrap",
-    "no-hash-collections",
     "no-panic",
     "no-ad-hoc-threads",
     "float-determinism",
@@ -429,7 +422,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
     };
 
     let unwrap_banned = NO_UNWRAP_CRATES.contains(&f.crate_name);
-    let hash_banned = NO_HASH_CRATES.contains(&f.crate_name);
     let threads_banned = !THREAD_POOL_MODULES.contains(&f.rel_path);
     // The runtime-path rules cover `/src/` trees only, minus the
     // invariants modules (whose whole job is panicking on corrupted
@@ -553,18 +545,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
                 "ad-hoc thread spawning risks completion-order \
                  nondeterminism; route parallelism through a \
                  THREAD_POOL_MODULES member (core::pool, dataflow)"
-                    .to_string(),
-            );
-        }
-
-        // ---- no-hash-collections --------------------------------------
-        if hash_banned && matches!(e.ident(i), Some("HashMap" | "HashSet")) {
-            e.emit(
-                "no-hash-collections",
-                line,
-                "hash collections have hasher-seeded iteration order; \
-                 deterministic kernels must use BTreeMap/BTreeSet or \
-                 sorted Vecs"
                     .to_string(),
             );
         }
@@ -873,36 +853,6 @@ mod tests {
     fn computed_expect_message_passes() {
         let src = "let x = opt.expect(&format!(\"no {u}\"));\n";
         assert!(lint_file(&file("rejection", src)).is_empty());
-    }
-
-    // ---- no-hash-collections ------------------------------------------
-
-    #[test]
-    fn hash_collections_flagged_in_kernel_crates_only() {
-        let src = "use std::collections::HashMap;\n";
-        let v = lint_file(&file("socialgraph", src));
-        assert_eq!(rules(&v), ["no-hash-collections"]);
-        assert!(lint_file(&file("eval", src)).is_empty());
-    }
-
-    #[test]
-    fn hash_in_doc_comment_is_ignored() {
-        let src = "//! never use HashMap here\nfn f() {}\n";
-        assert!(lint_file(&file("socialgraph", src)).is_empty());
-    }
-
-    /// Nested block comments defeated naive strippers; the PR 2 scanner
-    /// handled one level, the lexer handles arbitrary depth.
-    #[test]
-    fn hash_in_nested_block_comment_is_ignored() {
-        let src = "/* outer /* HashMap */ still HashMap */\nfn f() {}\n";
-        assert!(lint_file(&file("socialgraph", src)).is_empty());
-    }
-
-    #[test]
-    fn hash_inside_string_is_ignored() {
-        let src = "let msg = \"HashMap is banned here\";\n";
-        assert!(lint_file(&file("socialgraph", src)).is_empty());
     }
 
     // ---- no-ad-hoc-threads --------------------------------------------

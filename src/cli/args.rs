@@ -4,11 +4,19 @@
 //! declares which keys it understands and unknown keys are rejected with a
 //! helpful message.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "keyed flag lookup; only the choice among several unknown flags in `finish` depends on hash order"
+)]
 use std::collections::HashMap;
 
 /// Parsed `--key value` arguments.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "keyed flag lookup; only the choice among several unknown flags in `finish` depends on hash order"
+    )]
     values: HashMap<String, String>,
     /// Keys the caller has consumed (for unknown-flag detection).
     known: Vec<String>,
@@ -38,6 +46,10 @@ impl Args {
         I: IntoIterator<Item = S>,
         S: Into<String>,
     {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "keyed flag lookup; only the choice among several unknown flags in `finish` depends on hash order"
+        )]
         let mut values = HashMap::new();
         let mut iter = raw.into_iter().map(Into::into);
         while let Some(tok) = iter.next() {
