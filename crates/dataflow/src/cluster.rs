@@ -332,6 +332,10 @@ fn spawn_worker(
     let (req_tx, req_rx) = unbounded::<Request>();
     let (resp_tx, resp_rx) = unbounded::<Response>();
     let lineage = Arc::clone(graph);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the master/worker cluster: one OS thread per shard worker"
+    )]
     let handle = std::thread::Builder::new()
         .name(format!("rejecto-worker-{wi}"))
         .spawn(move || {

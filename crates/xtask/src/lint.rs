@@ -16,9 +16,6 @@
 //!    arm is impossible. The [`NO_ASSERT_CRATES`] additionally ban
 //!    `assert!` in runtime paths (`debug_assert!` stays allowed): their
 //!    contract is *degrade, don't abort*.
-//! 6. **no-ad-hoc-threads** — thread spawning is confined to the
-//!    designated pool/cluster modules ([`THREAD_POOL_MODULES`]), whose
-//!    index-slotted reductions keep `--determinism` meaningful.
 //! 7. **float-determinism** — in the float-bearing kernels
 //!    ([`FLOAT_CRATES`]): no `.partial_cmp(..)` comparator chains (use
 //!    `f64::total_cmp`, which is a total order and cannot silently give
@@ -96,14 +93,6 @@ pub const NO_UNWRAP_CRATES: &[&str] = &[
 /// with a stated reason.
 pub const NO_ASSERT_CRATES: &[&str] = &["dataflow", "kl"];
 
-/// The only first-party modules allowed to spawn OS threads
-/// (**no-ad-hoc-threads**). Everything else must route parallelism
-/// through these: `core/pool.rs` is the deterministic MAAR-sweep worker
-/// pool; `dataflow/cluster.rs` is the master/worker cluster.
-/// Repo-relative paths.
-pub const THREAD_POOL_MODULES: &[&str] =
-    &["crates/core/src/pool.rs", "crates/dataflow/src/cluster.rs"];
-
 /// Crates whose runtime paths are subject to **float-determinism**: the
 /// detection kernels and every ranking baseline whose scores get compared
 /// across detectors (`sybilrank`, `votetrust`, `eval`), plus `dataflow`,
@@ -174,7 +163,6 @@ pub const SYNC_PRIMITIVE_MODULES: &[&str] = &["crates/dataflow/src/cluster.rs"];
 pub const RULES: &[&str] = &[
     "no-unwrap",
     "no-panic",
-    "no-ad-hoc-threads",
     "float-determinism",
     "lossy-cast",
     "channel-discipline",
@@ -422,7 +410,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
     };
 
     let unwrap_banned = NO_UNWRAP_CRATES.contains(&f.crate_name);
-    let threads_banned = !THREAD_POOL_MODULES.contains(&f.rel_path);
     // The runtime-path rules cover `/src/` trees only, minus the
     // invariants modules (whose whole job is panicking on corrupted
     // state) and everything from the first `#[cfg(test)] mod` down.
@@ -530,23 +517,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
                     );
                 }
             }
-        }
-
-        // ---- no-ad-hoc-threads ----------------------------------------
-        if threads_banned
-            && e.is_ident(i, "thread")
-            && e.is_punct(i + 1, ":")
-            && e.is_punct(i + 2, ":")
-            && matches!(e.ident(i + 3), Some("spawn" | "scope" | "Builder"))
-        {
-            e.emit(
-                "no-ad-hoc-threads",
-                line,
-                "ad-hoc thread spawning risks completion-order \
-                 nondeterminism; route parallelism through a \
-                 THREAD_POOL_MODULES member (core::pool, dataflow)"
-                    .to_string(),
-            );
         }
 
         // ---- float-determinism ----------------------------------------
@@ -853,51 +823,6 @@ mod tests {
     fn computed_expect_message_passes() {
         let src = "let x = opt.expect(&format!(\"no {u}\"));\n";
         assert!(lint_file(&file("rejection", src)).is_empty());
-    }
-
-    // ---- no-ad-hoc-threads --------------------------------------------
-
-    #[test]
-    fn ad_hoc_thread_spawn_is_flagged() {
-        for src in [
-            "let h = std::thread::spawn(|| 1);\n",
-            "std::thread::scope(|s| { s.spawn(|| {}); });\n",
-            "let b = std::thread::Builder::new();\n",
-        ] {
-            let v = lint_file(&file("core", src));
-            assert_eq!(rules(&v), ["no-ad-hoc-threads"], "{src:?}");
-        }
-    }
-
-    #[test]
-    fn thread_pool_modules_may_spawn() {
-        let f = SourceFile {
-            rel_path: "crates/core/src/pool.rs",
-            crate_name: "core",
-            text: "crossbeam::thread::scope(|s| { s.spawn(|| {}); });\n",
-        };
-        assert!(lint_file(&f).is_empty());
-    }
-
-    #[test]
-    fn thread_spawn_with_pragma_is_allowed() {
-        let src = "std::thread::spawn(f); // xtask-allow: no-ad-hoc-threads\n";
-        assert!(lint_file(&file("core", src)).is_empty());
-    }
-
-    #[test]
-    fn thread_mention_in_comment_is_ignored() {
-        let src = "// never call thread::spawn here\nfn f() {}\n";
-        assert!(lint_file(&file("core", src)).is_empty());
-    }
-
-    /// The string-literal pattern table that used to force a crate-wide
-    /// `xtask` exemption now lints clean in every crate.
-    #[test]
-    fn thread_patterns_in_strings_are_ignored_without_exemption() {
-        let src = "let pats = [\"thread::spawn\", \"thread::scope\"];\n";
-        assert!(lint_file(&file("xtask", src)).is_empty());
-        assert!(lint_file(&file("core", src)).is_empty());
     }
 
     // ---- no-panic -----------------------------------------------------
