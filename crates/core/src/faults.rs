@@ -17,6 +17,10 @@
 //! An empty plan is free: every probe is a single branch.
 
 use std::fmt;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the armed fault table is shared by every pool worker and cluster probe of one run; a one-shot fault must fire exactly once"
+)]
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -312,6 +316,10 @@ pub enum Mangle {
 }
 
 /// The armed faults in plan order, each with whether it has been spent.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the armed fault table is shared by every pool worker and cluster probe of one run; a one-shot fault must fire exactly once"
+)]
 type Table = Mutex<Vec<(Fault, bool)>>;
 
 /// A [`FaultPlan`] armed for one run: one shared table of `(fault, spent)`
@@ -341,6 +349,7 @@ impl FaultInjector {
                 _ => None,
             })
             .min();
+        #[expect(clippy::disallowed_types, reason = "builds the shared fault table")]
         let table = (!plan.is_empty())
             .then(|| Arc::new(Mutex::new(plan.faults().iter().map(|&f| (f, false)).collect())));
         FaultInjector { table, deadline }

@@ -31,6 +31,10 @@
 use kl::CancelToken;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the deterministic sweep pool: index-slotted results keep the reduction independent of completion order"
+)]
 use std::sync::Mutex;
 
 /// The fate of one sweep job, slotted by its sweep index.
@@ -117,6 +121,10 @@ where
     }
     let pool_size = threads.min(jobs);
     let cursor = AtomicUsize::new(0);
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the deterministic sweep pool: index-slotted results keep the reduction independent of completion order"
+    )]
     let slots: Vec<Mutex<Option<JobOutcome<T>>>> = (0..jobs).map(|_| Mutex::new(None)).collect();
     #[expect(
         clippy::disallowed_methods,

@@ -274,7 +274,11 @@ impl Shard {
     }
 
     fn serve(self, rx: Receiver<Request>, tx: Sender<Response>) {
-        while let Ok(req) = rx.recv() { // xtask-allow: channel-discipline: shard serve loop parks until the owner sends a request; shutdown arrives as Request::Shutdown or a hangup, so blocking cannot wedge the cluster
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the serve loop parks until the owner sends; shutdown arrives as Request::Shutdown or a hangup, so blocking cannot wedge the cluster"
+        )]
+        while let Ok(req) = rx.recv() {
             match req {
                 Request::Shutdown => break,
                 Request::Fetch(ids) => {

@@ -13,6 +13,10 @@
 //! even when a deadline and a pass budget expire in the same window.
 
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU8, AtomicU64, Ordering};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the deadline cell is shared by every clone of the token across sweep workers"
+)]
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -39,6 +43,10 @@ const UNLIMITED: i64 = i64::MAX;
 struct Inner {
     cancelled: AtomicBool,
     reason: AtomicU8,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the deadline cell is shared by every clone of the token across sweep workers"
+    )]
     deadline: Mutex<Option<Instant>>,
     passes_left: AtomicI64,
     /// How many times [`CancelToken::is_cancelled`] was polled. Scheduling-
@@ -63,6 +71,10 @@ impl Default for CancelToken {
 
 impl CancelToken {
     /// A fresh token with no deadline and an unlimited pass budget.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the deadline cell is shared by every clone of the token across sweep workers"
+    )]
     pub fn new() -> Self {
         CancelToken {
             inner: Arc::new(Inner {

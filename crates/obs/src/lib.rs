@@ -39,6 +39,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the observability layer: one registry shared by every clone of the handle"
+)]
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -111,6 +115,10 @@ struct Inner {
 /// single document.
 #[derive(Debug, Clone, Default)]
 pub struct Obs {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the observability layer: one registry shared by every clone of the handle"
+    )]
     inner: Arc<Mutex<Inner>>,
 }
 

@@ -33,12 +33,6 @@
 //!    invariant** making the cast lossless
 //!    (`// xtask-allow: lossy-cast: node ids < 2^32`). A reason-less
 //!    lossy-cast pragma does not suppress.
-//! 9. **channel-discipline** — in the distributed runtime
-//!    ([`CHANNEL_CRATES`]): every `.recv()` must be a `recv_timeout`
-//!    (a blocking receive with no deadline is how hung workers wedge the
-//!    master forever; DESIGN.md §11's watchdog is built on deadlines), and
-//!    `Mutex`/`RwLock`/`Condvar` may appear only in the sanctioned
-//!    cluster/pool modules ([`SYNC_PRIMITIVE_MODULES`]).
 //! 10. **obs-discipline** — ad-hoc `Instant::now()` / `SystemTime::now()`
 //!     reads are confined to the observability layer (the `obs` crate and
 //!     the [`CLOCK_SANCTIONED_MODULES`]): every timing must flow through a
@@ -150,14 +144,6 @@ pub const DURABLE_IO_EXEMPT_CRATES: &[&str] = &["xtask"];
 /// pragma counts as addressed (not dead) but the diagnostic still fires.
 pub const REASON_REQUIRED_RULES: &[&str] = &["lossy-cast", "obs-discipline", "durable-io"];
 
-/// Crates whose runtime paths are subject to **channel-discipline**.
-pub const CHANNEL_CRATES: &[&str] = &["dataflow"];
-
-/// The sanctioned home for lock primitives inside the
-/// [`CHANNEL_CRATES`]: the cluster master/worker runtime. Repo-relative
-/// paths.
-pub const SYNC_PRIMITIVE_MODULES: &[&str] = &["crates/dataflow/src/cluster.rs"];
-
 /// Every rule name `xtask-allow:` accepts. `dead-pragma` is listed (so a
 /// pragma naming it parses) but is itself never suppressible.
 pub const RULES: &[&str] = &[
@@ -165,7 +151,6 @@ pub const RULES: &[&str] = &[
     "no-panic",
     "float-determinism",
     "lossy-cast",
-    "channel-discipline",
     "obs-discipline",
     "durable-io",
     "dead-pragma",
@@ -421,7 +406,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
         || LOSSY_CAST_MODULES.contains(&f.rel_path))
         && in_src
         && !f.rel_path.contains("invariants");
-    let channel_banned = CHANNEL_CRATES.contains(&f.crate_name) && in_src;
     let clock_banned = !CLOCK_EXEMPT_CRATES.contains(&f.crate_name)
         && !CLOCK_SANCTIONED_MODULES.contains(&f.rel_path)
         && in_src;
@@ -435,7 +419,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
         || assert_banned
         || float_banned
         || cast_banned
-        || channel_banned
         || clock_banned
         || durable_banned;
     let test_start = if runtime_rules { e.test_module_start() } else { usize::MAX };
@@ -654,39 +637,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
                      with the reason the artifact need not survive a crash \
                      (`// xtask-allow: durable-io: <why>`)"
                         .to_string(),
-                );
-            }
-        }
-
-        // ---- channel-discipline ---------------------------------------
-        if channel_banned && runtime {
-            if e.is_punct(i, ".")
-                && e.is_ident(i + 1, "recv")
-                && e.is_punct(i + 2, "(")
-                && e.is_punct(i + 3, ")")
-            {
-                e.emit(
-                    "channel-discipline",
-                    e.line_of(i + 1),
-                    "blocking `.recv()` with no deadline wedges the runtime on a \
-                     hung peer; use `recv_timeout` (the watchdog contract, \
-                     DESIGN.md §11) or pragma with the liveness argument"
-                        .to_string(),
-                );
-            }
-            if matches!(e.ident(i), Some("Mutex" | "RwLock" | "Condvar"))
-                && !SYNC_PRIMITIVE_MODULES.contains(&f.rel_path)
-            {
-                let prim = e.ident(i).unwrap_or_default().to_string();
-                e.emit(
-                    "channel-discipline",
-                    line,
-                    format!(
-                        "`{prim}` outside the sanctioned cluster/pool modules; \
-                         shared-state concurrency belongs in \
-                         SYNC_PRIMITIVE_MODULES, everything else communicates \
-                         over channels"
-                    ),
                 );
             }
         }
@@ -1218,57 +1168,6 @@ mod tests {
         ] {
             assert!(lint_file(&file("core", src)).is_empty(), "{src:?}");
         }
-    }
-
-    // ---- channel-discipline -------------------------------------------
-
-    #[test]
-    fn blocking_recv_in_dataflow_is_flagged() {
-        let src = "fn f(rx: &Receiver<u32>) { let _ = rx.recv(); }\n";
-        let v = lint_file(&file("dataflow", src));
-        assert_eq!(rules(&v), ["channel-discipline"]);
-        assert!(v[0].message.contains("recv_timeout"));
-    }
-
-    #[test]
-    fn recv_timeout_passes() {
-        let src = "fn f(rx: &Receiver<u32>, d: Duration) { let _ = rx.recv_timeout(d); }\n";
-        assert!(lint_file(&file("dataflow", src)).is_empty());
-    }
-
-    #[test]
-    fn recv_outside_channel_crates_passes() {
-        let src = "fn f(rx: &Receiver<u32>) { let _ = rx.recv(); }\n";
-        assert!(lint_file(&file("core", src)).is_empty());
-    }
-
-    #[test]
-    fn recv_with_pragma_is_allowed() {
-        let src = "let _ = rx.recv(); // xtask-allow: channel-discipline: worker loop exits when the master hangs up\n";
-        assert!(lint_file(&file("dataflow", src)).is_empty());
-    }
-
-    #[test]
-    fn mutex_outside_sanctioned_modules_is_flagged() {
-        let src = "use std::sync::Mutex;\n";
-        let v = lint_file(&file("dataflow", src));
-        assert_eq!(rules(&v), ["channel-discipline"]);
-    }
-
-    #[test]
-    fn mutex_in_sanctioned_module_passes() {
-        let f = SourceFile {
-            rel_path: "crates/dataflow/src/cluster.rs",
-            crate_name: "dataflow",
-            text: "use std::sync::Mutex;\n",
-        };
-        assert!(lint_file(&f).is_empty());
-    }
-
-    #[test]
-    fn mutex_outside_dataflow_passes() {
-        let src = "use std::sync::Mutex;\n";
-        assert!(lint_file(&file("kl", src)).is_empty());
     }
 
     // ---- dead-pragma --------------------------------------------------
