@@ -36,6 +36,7 @@ fn main() {
     for (name, init) in variants {
         let mut cfg = PipelineConfig::default();
         cfg.rejecto.initial_placement = init;
+        #[expect(clippy::disallowed_methods, reason = "the experiment reports wall-clock time")]
         let t0 = Instant::now();
         let suspects = pipeline::rejecto_suspects(&sim, &cfg, budget);
         let seconds = t0.elapsed().as_secs_f64();

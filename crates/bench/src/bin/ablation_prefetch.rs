@@ -55,6 +55,7 @@ fn main() {
             num_workers: 4,
             ..ClusterConfig::default()
         };
+        #[expect(clippy::disallowed_methods, reason = "the experiment reports wall-clock time")]
         let start = Instant::now();
         let (report, io) = DistributedDetector::new(cfg, rejecto.clone())
             .detect_with_io(&sim.graph, &Seeds::default(), termination)

@@ -80,6 +80,7 @@ fn main() {
         };
         let mut detector = DistributedDetector::new(cluster, rejecto.clone());
         detector.set_obs(h.obs.clone());
+        #[expect(clippy::disallowed_methods, reason = "the experiment reports wall-clock time")]
         let start = Instant::now();
         let (report, io) = detector
             .detect_with_io(&sim.graph, &Seeds::default(), Termination::SuspectBudget(fakes))

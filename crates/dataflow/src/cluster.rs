@@ -1208,6 +1208,10 @@ mod tests {
         cluster.workers.borrow_mut()[0].pending = true;
         cluster.arm_hang(1);
         let mut io = IoStats::default();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test bounds the watchdog's recovery time"
+        )]
         let start = Instant::now();
         let resp = cluster
             .exchange(0, &|| Request::Stats, &mut io)

@@ -111,6 +111,10 @@ impl CancelToken {
     /// Arms a wall-clock deadline `timeout` from now. Replaces any earlier
     /// deadline; the *tighter* of repeated deadlines is kept.
     pub fn set_deadline_in(&self, timeout: Duration) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "deadline arithmetic is the token's job; it predates rejecto_obs and only ever trips a cancellation"
+        )]
         let at = Instant::now() + timeout;
         let mut slot = self
             .inner
@@ -150,6 +154,10 @@ impl CancelToken {
 
     /// Whether the token has tripped. Polls the deadline as a side effect,
     /// so a passed deadline is observed here without any timer thread.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "deadline arithmetic is the token's job; it predates rejecto_obs and only ever trips a cancellation"
+    )]
     pub fn is_cancelled(&self) -> bool {
         self.inner.polls.fetch_add(1, Ordering::Relaxed);
         if self.inner.cancelled.load(Ordering::Acquire) {
@@ -173,6 +181,10 @@ impl CancelToken {
     /// armed, `Duration::ZERO` once it has passed. Lets callers that block
     /// on external events (e.g. a master waiting on a worker response)
     /// bound their wait so a hang can never outlive the run budget.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "deadline arithmetic is the token's job; it predates rejecto_obs and only ever trips a cancellation"
+    )]
     pub fn time_remaining(&self) -> Option<Duration> {
         let deadline = *self
             .inner

@@ -26,8 +26,8 @@
 //! * [`Obs::volatile_incr`] and span **wall time** — land in `timings`.
 //!   Poll counts, worker restarts, buffer traffic, elapsed nanoseconds.
 //!
-//! A second discipline this crate anchors: the `obs-discipline` xtask lint
-//! bans ad-hoc `Instant::now()` outside this crate, so every timing either
+//! A second discipline this crate anchors: `clippy.toml` bans ad-hoc
+//! `Instant::now()` outside this crate's sanctioned reads, so every timing either
 //! flows through a [`SpanGuard`] (aggregated, reported) or an explicit
 //! [`Stopwatch`] (for deadline arithmetic) — never an unreported
 //! one-off measurement.
@@ -178,6 +178,10 @@ impl Obs {
     /// `timings` section. Bind it (`let _span = ...`) for the scope being
     /// measured.
     pub fn span(&self, path: &str) -> SpanGuard {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the observability layer owns the clock; spans record into the volatile timings section"
+        )]
         SpanGuard { obs: self.clone(), path: path.to_string(), start: Instant::now() }
     }
 
@@ -423,7 +427,7 @@ impl Drop for SpanGuard {
 }
 
 /// The one sanctioned way to measure elapsed wall time outside this crate
-/// (the `obs-discipline` lint bans ad-hoc `Instant::now()`): deadline
+/// (`clippy.toml` bans ad-hoc `Instant::now()`): deadline
 /// arithmetic and watchdog budgets wrap their clock in a `Stopwatch` so
 /// every timing site is explicit and greppable.
 #[derive(Debug, Clone, Copy)]
@@ -434,6 +438,10 @@ pub struct Stopwatch {
 impl Stopwatch {
     /// Starts the clock.
     pub fn start() -> Self {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the observability layer owns the clock; Stopwatch is the sanctioned timer"
+        )]
         Stopwatch { start: Instant::now() }
     }
 

@@ -33,13 +33,6 @@
 //!    invariant** making the cast lossless
 //!    (`// xtask-allow: lossy-cast: node ids < 2^32`). A reason-less
 //!    lossy-cast pragma does not suppress.
-//! 10. **obs-discipline** — ad-hoc `Instant::now()` / `SystemTime::now()`
-//!     reads are confined to the observability layer (the `obs` crate and
-//!     the [`CLOCK_SANCTIONED_MODULES`]): every timing must flow through a
-//!     `rejecto_obs` span or `Stopwatch`, which is what keeps wall-clock
-//!     data segregated into the metrics document's volatile `timings`
-//!     section and everything else byte-comparable. A pragma **must state
-//!     the justification**; a reason-less one does not suppress.
 //! 11. **durable-io** — runtime paths may not write persistent artifacts
 //!     with bare `std::fs::write` / `File::create`: neither fsyncs nor
 //!     renames, so a crash mid-write leaves a torn file where a
@@ -56,8 +49,7 @@
 //! A diagnostic is opted out of with a pragma in a comment **on the same
 //! line**: `// xtask-allow: <rule>` or
 //! `// xtask-allow: <rule>: <reason>`. The reason is mandatory for
-//! `lossy-cast`, `obs-discipline`, and `durable-io`
-//! ([`REASON_REQUIRED_RULES`]) and recommended everywhere.
+//! `lossy-cast` and `durable-io` ([`REASON_REQUIRED_RULES`]) and recommended everywhere.
 
 use crate::lexer::{lex, Token, TokenKind};
 use std::fmt;
@@ -118,17 +110,6 @@ pub const LOSSY_CAST_MODULES: &[&str] = &[
     "crates/dataflow/src/source.rs",
 ];
 
-/// Crates exempt from **obs-discipline**: `obs` *is* the observability
-/// layer (its spans and `Stopwatch` are the sanctioned clock reads), and
-/// `bench` measures wall-clock behavior by design.
-pub const CLOCK_EXEMPT_CRATES: &[&str] = &["obs", "bench"];
-
-/// Modules outside the exempt crates allowed to read the clock directly
-/// (**obs-discipline**): the cancellation token's deadline arithmetic
-/// predates the obs crate and is scheduling-volatile by nature.
-/// Repo-relative paths.
-pub const CLOCK_SANCTIONED_MODULES: &[&str] = &["crates/kl/src/cancel.rs"];
-
 /// The only first-party modules allowed to open files for writing with
 /// the raw primitives (**durable-io**): the durable store itself, whose
 /// `atomic_write` is the sanctioned temp-file → fsync → rename → dir-sync
@@ -142,7 +123,7 @@ pub const DURABLE_IO_EXEMPT_CRATES: &[&str] = &["xtask"];
 
 /// Rules whose pragma must carry a reason to suppress; a reason-less
 /// pragma counts as addressed (not dead) but the diagnostic still fires.
-pub const REASON_REQUIRED_RULES: &[&str] = &["lossy-cast", "obs-discipline", "durable-io"];
+pub const REASON_REQUIRED_RULES: &[&str] = &["lossy-cast", "durable-io"];
 
 /// Every rule name `xtask-allow:` accepts. `dead-pragma` is listed (so a
 /// pragma naming it parses) but is itself never suppressible.
@@ -151,7 +132,6 @@ pub const RULES: &[&str] = &[
     "no-panic",
     "float-determinism",
     "lossy-cast",
-    "obs-discipline",
     "durable-io",
     "dead-pragma",
 ];
@@ -406,9 +386,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
         || LOSSY_CAST_MODULES.contains(&f.rel_path))
         && in_src
         && !f.rel_path.contains("invariants");
-    let clock_banned = !CLOCK_EXEMPT_CRATES.contains(&f.crate_name)
-        && !CLOCK_SANCTIONED_MODULES.contains(&f.rel_path)
-        && in_src;
     // The root package's tree is `src/...` with no leading component, so
     // the `/src/` infix test misses it; durable-io must cover the CLI.
     let in_src_tree = in_src || f.rel_path.starts_with("src/");
@@ -419,7 +396,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
         || assert_banned
         || float_banned
         || cast_banned
-        || clock_banned
         || durable_banned;
     let test_start = if runtime_rules { e.test_module_start() } else { usize::MAX };
 
@@ -580,28 +556,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
                     );
                 }
             }
-        }
-
-        // ---- obs-discipline -------------------------------------------
-        if clock_banned
-            && runtime
-            && matches!(e.ident(i), Some("Instant" | "SystemTime"))
-            && e.is_punct(i + 1, ":")
-            && e.is_punct(i + 2, ":")
-            && e.is_ident(i + 3, "now")
-        {
-            let ty = e.ident(i).unwrap_or_default().to_string();
-            e.emit(
-                "obs-discipline",
-                line,
-                format!(
-                    "ad-hoc `{ty}::now()` outside the observability layer; \
-                     time spans through `rejecto_obs` (or `rejecto_obs::\
-                     Stopwatch` for deadline arithmetic), or pragma the site \
-                     with the justification \
-                     (`// xtask-allow: obs-discipline: <why>`)"
-                ),
-            );
         }
 
         // ---- durable-io -----------------------------------------------
@@ -1042,56 +996,6 @@ mod tests {
         let v = lint_file(&file("kl", without_reason));
         assert_eq!(rules(&v), ["lossy-cast"]);
         assert!(v[0].message.contains("missing the range-invariant reason"));
-    }
-
-    // ---- obs-discipline -----------------------------------------------
-
-    #[test]
-    fn ad_hoc_clock_reads_are_flagged() {
-        for src in [
-            "fn f() { let t0 = std::time::Instant::now(); }\n",
-            "fn f() { let t0 = Instant::now(); }\n",
-            "fn f() { let t0 = SystemTime::now(); }\n",
-        ] {
-            let v = lint_file(&file("core", src));
-            assert_eq!(rules(&v), ["obs-discipline"], "{src:?}");
-            assert!(v[0].message.contains("rejecto_obs"), "{src:?}");
-        }
-    }
-
-    #[test]
-    fn clock_reads_in_the_obs_and_bench_crates_are_exempt() {
-        let src = "fn f() { let t0 = Instant::now(); }\n";
-        for c in ["obs", "bench"] {
-            assert!(lint_file(&file(c, src)).is_empty(), "{c}");
-        }
-    }
-
-    #[test]
-    fn clock_sanctioned_modules_may_read_the_clock() {
-        let f = SourceFile {
-            rel_path: "crates/kl/src/cancel.rs",
-            crate_name: "kl",
-            text: "fn f() { let at = Instant::now(); }\n",
-        };
-        assert!(lint_file(&f).is_empty());
-    }
-
-    #[test]
-    fn clock_reads_in_test_modules_are_exempt() {
-        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn t() { let t0 = Instant::now(); }\n}\n";
-        assert!(lint_file(&file("core", src)).is_empty());
-    }
-
-    #[test]
-    fn obs_pragma_requires_a_justification() {
-        let with_reason = "let t0 = Instant::now(); // xtask-allow: obs-discipline: coarse log throttle, never compared\n";
-        assert!(lint_file(&file("core", with_reason)).is_empty());
-
-        let without_reason = "let t0 = Instant::now(); // xtask-allow: obs-discipline\n";
-        let v = lint_file(&file("core", without_reason));
-        assert_eq!(rules(&v), ["obs-discipline"]);
-        assert!(v[0].message.contains("missing the justification"));
     }
 
     // ---- durable-io ---------------------------------------------------

@@ -33,6 +33,7 @@ fn main() {
     };
     let termination = Termination::SuspectBudget(sim.fakes.len());
 
+    #[expect(clippy::disallowed_methods, reason = "the example prints wall-clock time")]
     let t0 = Instant::now();
     let local = IterativeDetector::new(rejecto.clone()).detect(
         &sim.graph,
@@ -49,7 +50,8 @@ fn main() {
 
     for workers in [1, 2, 4, 8] {
         let cluster = ClusterConfig { num_workers: workers, ..ClusterConfig::default() };
-        let t0 = Instant::now();
+        #[expect(clippy::disallowed_methods, reason = "the example prints wall-clock time")]
+    let t0 = Instant::now();
         let (report, io) = DistributedDetector::new(cluster, rejecto.clone())
             .detect_with_io(&sim.graph, &Seeds::default(), termination)
             .expect("healthy cluster must detect");
