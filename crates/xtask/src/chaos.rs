@@ -291,6 +291,10 @@ fn soak(seeds: u64, json_path: Option<&str>) -> Result<String, String> {
     }
 
     if let Some(path) = json_path {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the soak report is rebuilt on every run; a torn one is rerun, not resumed"
+        )]
         std::fs::write(path, render_records(&records))
             .map_err(|e| format!("chaos: cannot write {path}: {e}"))?;
     }

@@ -33,14 +33,6 @@
 //!    invariant** making the cast lossless
 //!    (`// xtask-allow: lossy-cast: node ids < 2^32`). A reason-less
 //!    lossy-cast pragma does not suppress.
-//! 11. **durable-io** — runtime paths may not write persistent artifacts
-//!     with bare `std::fs::write` / `File::create`: neither fsyncs nor
-//!     renames, so a crash mid-write leaves a torn file where a
-//!     checkpoint, metrics document, or simulator output used to be
-//!     (DESIGN.md §14). Persistent writes route through the sanctioned
-//!     store module ([`DURABLE_IO_SANCTIONED_MODULES`], i.e.
-//!     `rejecto_core::store::atomic_write`); a pragma **must state why
-//!     the artifact need not survive a crash**.
 //! 12. **dead-pragma** — an `xtask-allow` pragma that no longer
 //!     suppresses any diagnostic is itself an error, as is one naming an
 //!     unknown rule. Suppressions cannot rot: delete the pragma when the
@@ -49,7 +41,7 @@
 //! A diagnostic is opted out of with a pragma in a comment **on the same
 //! line**: `// xtask-allow: <rule>` or
 //! `// xtask-allow: <rule>: <reason>`. The reason is mandatory for
-//! `lossy-cast` and `durable-io` ([`REASON_REQUIRED_RULES`]) and recommended everywhere.
+//! `lossy-cast` ([`REASON_REQUIRED_RULES`]) and recommended everywhere.
 
 use crate::lexer::{lex, Token, TokenKind};
 use std::fmt;
@@ -110,20 +102,9 @@ pub const LOSSY_CAST_MODULES: &[&str] = &[
     "crates/dataflow/src/source.rs",
 ];
 
-/// The only first-party modules allowed to open files for writing with
-/// the raw primitives (**durable-io**): the durable store itself, whose
-/// `atomic_write` is the sanctioned temp-file → fsync → rename → dir-sync
-/// protocol every persistent artifact flows through. Repo-relative paths.
-pub const DURABLE_IO_SANCTIONED_MODULES: &[&str] = &["crates/core/src/store.rs"];
-
-/// Crates exempt from **durable-io**: `xtask` is the lint/test harness —
-/// its outputs (fixture scratch, reports) are rebuilt on every run and
-/// carry no durability contract.
-pub const DURABLE_IO_EXEMPT_CRATES: &[&str] = &["xtask"];
-
 /// Rules whose pragma must carry a reason to suppress; a reason-less
 /// pragma counts as addressed (not dead) but the diagnostic still fires.
-pub const REASON_REQUIRED_RULES: &[&str] = &["lossy-cast", "durable-io"];
+pub const REASON_REQUIRED_RULES: &[&str] = &["lossy-cast"];
 
 /// Every rule name `xtask-allow:` accepts. `dead-pragma` is listed (so a
 /// pragma naming it parses) but is itself never suppressible.
@@ -132,7 +113,6 @@ pub const RULES: &[&str] = &[
     "no-panic",
     "float-determinism",
     "lossy-cast",
-    "durable-io",
     "dead-pragma",
 ];
 
@@ -386,17 +366,10 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
         || LOSSY_CAST_MODULES.contains(&f.rel_path))
         && in_src
         && !f.rel_path.contains("invariants");
-    // The root package's tree is `src/...` with no leading component, so
-    // the `/src/` infix test misses it; durable-io must cover the CLI.
-    let in_src_tree = in_src || f.rel_path.starts_with("src/");
-    let durable_banned = !DURABLE_IO_EXEMPT_CRATES.contains(&f.crate_name)
-        && !DURABLE_IO_SANCTIONED_MODULES.contains(&f.rel_path)
-        && in_src_tree;
     let runtime_rules = panic_banned
         || assert_banned
         || float_banned
-        || cast_banned
-        || durable_banned;
+        || cast_banned;
     let test_start = if runtime_rules { e.test_module_start() } else { usize::MAX };
 
     for i in 0..e.sig.len() {
@@ -555,43 +528,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
                         ),
                     );
                 }
-            }
-        }
-
-        // ---- durable-io -----------------------------------------------
-        if durable_banned && runtime {
-            if e.is_ident(i, "fs")
-                && e.is_punct(i + 1, ":")
-                && e.is_punct(i + 2, ":")
-                && e.is_ident(i + 3, "write")
-            {
-                e.emit(
-                    "durable-io",
-                    line,
-                    "bare `fs::write` is not crash-consistent (no temp file, no \
-                     fsync, no atomic rename — a crash leaves a torn artifact); \
-                     route persistent writes through `rejecto_core::store::\
-                     atomic_write`, or pragma the site with the reason the \
-                     artifact need not survive a crash \
-                     (`// xtask-allow: durable-io: <why>`)"
-                        .to_string(),
-                );
-            }
-            if e.is_ident(i, "File")
-                && e.is_punct(i + 1, ":")
-                && e.is_punct(i + 2, ":")
-                && e.is_ident(i + 3, "create")
-            {
-                e.emit(
-                    "durable-io",
-                    line,
-                    "bare `File::create` truncates in place and is not \
-                     crash-consistent; route persistent writes through \
-                     `rejecto_core::store::atomic_write`, or pragma the site \
-                     with the reason the artifact need not survive a crash \
-                     (`// xtask-allow: durable-io: <why>`)"
-                        .to_string(),
-                );
             }
         }
     }
@@ -996,82 +932,6 @@ mod tests {
         let v = lint_file(&file("kl", without_reason));
         assert_eq!(rules(&v), ["lossy-cast"]);
         assert!(v[0].message.contains("missing the range-invariant reason"));
-    }
-
-    // ---- durable-io ---------------------------------------------------
-
-    #[test]
-    fn raw_persistent_writes_are_flagged() {
-        for src in [
-            "fn f() { std::fs::write(\"out.json\", b\"x\").ok(); }\n",
-            "fn f() { fs::write(\"out.json\", b\"x\").ok(); }\n",
-            "fn f() { let w = std::fs::File::create(\"out.json\"); }\n",
-            "fn f() { let w = File::create(\"out.json\"); }\n",
-        ] {
-            let v = lint_file(&file("core", src));
-            assert_eq!(rules(&v), ["durable-io"], "{src:?}");
-            assert!(v[0].message.contains("atomic_write"), "{src:?}");
-        }
-    }
-
-    #[test]
-    fn the_store_module_itself_may_use_raw_primitives() {
-        let f = SourceFile {
-            rel_path: "crates/core/src/store.rs",
-            crate_name: "core",
-            text: "fn f() { let w = File::create(\"t.tmp\"); }\n",
-        };
-        assert!(lint_file(&f).is_empty());
-    }
-
-    #[test]
-    fn the_root_package_cli_is_covered() {
-        let f = SourceFile {
-            rel_path: "src/cli/commands.rs",
-            crate_name: "rejecto",
-            text: "fn f() { std::fs::write(\"m.json\", b\"x\").ok(); }\n",
-        };
-        assert_eq!(rules(&lint_file(&f)), ["durable-io"]);
-    }
-
-    #[test]
-    fn xtask_and_test_code_may_write_raw() {
-        let src = "fn f() { std::fs::write(\"report.json\", b\"x\").ok(); }\n";
-        assert!(lint_file(&file("xtask", src)).is_empty());
-
-        let in_test_mod = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { std::fs::write(\"t\", b\"x\").ok(); }\n}\n";
-        assert!(lint_file(&file("core", in_test_mod)).is_empty());
-
-        let tests_dir = SourceFile {
-            rel_path: "crates/core/tests/store.rs",
-            crate_name: "core",
-            text: src,
-        };
-        assert!(lint_file(&tests_dir).is_empty());
-    }
-
-    #[test]
-    fn durable_io_pragma_requires_a_reason() {
-        let with_reason = "std::fs::write(\"scratch\", b\"x\").ok(); // xtask-allow: durable-io: droppable scratch file, rebuilt on every run\n";
-        assert!(lint_file(&file("core", with_reason)).is_empty());
-
-        let without_reason = "std::fs::write(\"scratch\", b\"x\").ok(); // xtask-allow: durable-io\n";
-        let v = lint_file(&file("core", without_reason));
-        assert_eq!(rules(&v), ["durable-io"]);
-        assert!(v[0].message.contains("missing the justification"));
-    }
-
-    #[test]
-    fn non_write_fs_calls_and_mentions_pass() {
-        for src in [
-            "fn f() { let s = std::fs::read_to_string(\"a\"); }\n",
-            "fn f() { std::fs::create_dir_all(\"d\").ok(); }\n",
-            "fn f() { let w = File::open(\"a\"); }\n",
-            "// never call fs::write here\nfn f() {}\n",
-            "fn f() { let pats = [\"fs::write\", \"File::create\"]; }\n",
-        ] {
-            assert!(lint_file(&file("core", src)).is_empty(), "{src:?}");
-        }
     }
 
     // ---- dead-pragma --------------------------------------------------

@@ -24,6 +24,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             // No dataset supplied: write a surrogate edge list and use it.
             let g = Surrogate::CaHepTh.generate_scaled(1, 0.2);
             let path = std::env::temp_dir().join("rejecto_surrogate_edges.txt");
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a scratch surrogate in the temp dir, regenerated on every run"
+            )]
             io::write_edge_list(&g, File::create(&path)?)?;
             eprintln!("[no dataset given; wrote surrogate to {}]", path.display());
             path

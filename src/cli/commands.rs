@@ -1073,6 +1073,10 @@ mod tests {
         let mangled = format!("{stem_s}-mangled.rjg");
         let mut text = std::fs::read_to_string(&graph).unwrap();
         text.push_str("X 0 1\nF 0 banana\n");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "test fixture: plants a malformed graph on disk"
+        )]
         std::fs::write(&mangled, text).unwrap();
 
         let err = run_to_string("detect", &["--graph", &mangled, "--budget", "30"]).unwrap_err();

@@ -108,6 +108,7 @@ fn sybilrank_over_edge_list() {
         }
     }
     content.push_str("0 4\n");
+    #[expect(clippy::disallowed_methods, reason = "test fixture: writes an input edge list")]
     std::fs::write(&path, content).unwrap();
     let out = run_ok(bin().args([
         "sybilrank", "--graph", path.to_str().unwrap(), "--seeds", "0", "--bottom", "3",
