@@ -38,6 +38,10 @@ fn sybilfence_suspects(
     let (legit, _) = sample_seeds(sim, cfg.num_legit_seeds.max(1), 0, &mut rng);
     let result = SybilFence::new(SybilFenceConfig::default()).rank(&sim.graph, &legit);
     let mut idx: Vec<usize> = (0..sim.graph.num_nodes()).collect();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "SybilFence scores are finite; a NaN aborts the experiment rather than ranking silently"
+    )]
     idx.sort_by(|&a, &b| {
         result.scores()[a]
             .partial_cmp(&result.scores()[b])

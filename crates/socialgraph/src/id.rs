@@ -1,3 +1,10 @@
+// The derived `PartialOrd` below expands to a `u32::partial_cmp` call in
+// this module; `u32` is totally ordered, so the ban does not apply.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "NodeId's derived PartialOrd delegates to u32's, which is total"
+)]
+
 use std::fmt;
 
 /// Dense identifier of a node in a [`Graph`](crate::Graph).

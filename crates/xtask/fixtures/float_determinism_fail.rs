@@ -1,19 +1,10 @@
 //~ crate: core
 //~ path: crates/core/src/fixture.rs
 
-pub fn comparator(xs: &mut [(f64, u32)]) {
-    xs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite scores")); //~ expect: float-determinism
-}
-
 pub fn reductions(xs: &[f64]) -> f64 {
     let a = xs.iter().sum::<f64>(); //~ expect: float-determinism
     let b: f64 = xs.iter().copied().fold(0.0, |acc, x| acc + x); //~ expect: float-determinism
     a + b
-}
-
-pub fn keyed() {
-    let scores: std::collections::BTreeMap<f64, u32> = Default::default(); //~ expect: float-determinism
-    drop(scores);
 }
 
 pub fn untyped_sum(ratios: &[f64]) -> f64 {

@@ -1,19 +1,10 @@
 //~ crate: core
 //~ path: crates/core/src/fixture.rs
 
-pub fn comparator(xs: &mut [(f64, u32)]) {
-    xs.sort_by(|a, b| a.0.total_cmp(&b.0));
-}
-
 pub fn integer_reductions(xs: &[u64]) -> u64 {
     let a = xs.iter().sum::<u64>();
     let b = xs.iter().fold(0u64, |acc, x| acc + x);
     a + b
-}
-
-pub fn integer_keyed() {
-    let scores: std::collections::BTreeMap<u64, u32> = Default::default();
-    drop(scores);
 }
 
 pub fn pragma_escape(xs: &[f64]) -> f64 {

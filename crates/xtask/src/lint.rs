@@ -17,13 +17,9 @@
 //!    `assert!` in runtime paths (`debug_assert!` stays allowed): their
 //!    contract is *degrade, don't abort*.
 //! 7. **float-determinism** — in the float-bearing kernels
-//!    ([`FLOAT_CRATES`]): no `.partial_cmp(..)` comparator chains (use
-//!    `f64::total_cmp`, which is a total order and cannot silently give
-//!    `None`-driven tie behaviour); no float `.sum()`/`.product()`/
-//!    `.fold(0.0, ..)` reductions except through an explicitly
-//!    order-asserting helper or pragma (accumulation order changes the
-//!    result in floating point); no `f32`/`f64` `BTreeMap`/`BTreeSet`
-//!    keys.
+//!    ([`FLOAT_CRATES`]): no float `.sum()`/`.product()`/`.fold(0.0, ..)`
+//!    reductions except through an explicitly order-asserting helper or
+//!    pragma (accumulation order changes the result in floating point).
 //! 8. **lossy-cast** — in the [`LOSSY_CAST_CRATES`] and the
 //!    individually-audited [`LOSSY_CAST_MODULES`] (the hostile-input
 //!    ingest and cut-bookkeeping paths), `as` casts to a numeric
@@ -453,16 +449,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
 
         // ---- float-determinism ----------------------------------------
         if float_banned && runtime {
-            if e.is_punct(i, ".") && e.is_ident(i + 1, "partial_cmp") {
-                e.emit(
-                    "float-determinism",
-                    e.line_of(i + 1),
-                    "`.partial_cmp(..)` comparator; floats must order through \
-                     `total_cmp` (a total order with no NaN-driven `None` arm), \
-                     integers through `Ord::cmp`"
-                        .to_string(),
-                );
-            }
             if e.is_punct(i, ".") && matches!(e.ident(i + 1), Some("sum" | "product")) {
                 // `.sum::<f64>()` — explicit float turbofish — or a plain
                 // `.sum()` whose statement is float-annotated.
@@ -494,19 +480,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
                     "float fold whose result depends on accumulation order; \
                      route it through an order-asserting helper \
                      (`socialgraph::det::ordered_sum`) or pragma the site"
-                        .to_string(),
-                );
-            }
-            if matches!(e.ident(i), Some("BTreeMap" | "BTreeSet"))
-                && e.is_punct(i + 1, "<")
-                && matches!(e.ident(i + 2), Some("f32" | "f64"))
-            {
-                e.emit(
-                    "float-determinism",
-                    line,
-                    "float-keyed ordered collection; floats are not `Ord` and \
-                     any wrapper's order is a determinism hazard — key by an \
-                     integer-scaled representation instead"
                         .to_string(),
                 );
             }
@@ -791,32 +764,6 @@ mod tests {
     // ---- float-determinism --------------------------------------------
 
     #[test]
-    fn partial_cmp_chain_in_float_crate_is_flagged() {
-        let src = "fn f(v: &mut Vec<f64>) { v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal)); }\n";
-        let v = lint_file(&file("core", src));
-        assert_eq!(rules(&v), ["float-determinism"]);
-        assert!(v[0].message.contains("total_cmp"));
-    }
-
-    #[test]
-    fn total_cmp_sort_passes() {
-        let src = "fn f(v: &mut Vec<f64>) { v.sort_by(|a, b| a.total_cmp(b)); }\n";
-        assert!(lint_file(&file("core", src)).is_empty());
-    }
-
-    #[test]
-    fn partial_cmp_outside_float_crates_passes() {
-        let src = "fn f(a: f64, b: f64) { let _ = a.partial_cmp(&b); }\n";
-        assert!(lint_file(&file("simulator", src)).is_empty());
-    }
-
-    #[test]
-    fn partial_cmp_trait_impl_definition_passes() {
-        let src = "impl PartialOrd for K { fn partial_cmp(&self, o: &Self) -> Option<Ordering> { Some(self.cmp(o)) } }\n";
-        assert!(lint_file(&file("kl", src)).is_empty());
-    }
-
-    #[test]
     fn float_sum_turbofish_is_flagged() {
         let src = "fn f(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }\n";
         let v = lint_file(&file("sybilrank", src));
@@ -853,19 +800,6 @@ mod tests {
     fn integer_fold_passes() {
         let src = "fn f(xs: &[u64]) -> u64 { xs.iter().fold(0, |a, b| a + b) }\n";
         assert!(lint_file(&file("socialgraph", src)).is_empty());
-    }
-
-    #[test]
-    fn float_keyed_btreemap_is_flagged() {
-        let src = "fn f() { let m: BTreeMap<f64, u32> = BTreeMap::new(); }\n";
-        let v = lint_file(&file("kl", src));
-        assert_eq!(rules(&v), ["float-determinism"]);
-    }
-
-    #[test]
-    fn int_keyed_btreemap_passes() {
-        let src = "fn f() { let m: BTreeMap<u32, f64> = BTreeMap::new(); }\n";
-        assert!(lint_file(&file("kl", src)).is_empty());
     }
 
     #[test]
