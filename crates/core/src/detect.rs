@@ -456,8 +456,10 @@ impl IterativeDetector {
                     .num_suspects()
                     .checked_add(cut.suspects().len())
                     .expect("suspect count fits in usize");
-                let cap = frac * g.num_nodes() as f64; // xtask-allow: lossy-cast: n < 2^53 converts exactly
-                if after as f64 > cap { // xtask-allow: lossy-cast: suspect count < 2^53 converts exactly
+                #[expect(clippy::as_conversions, reason = "n < 2^53 converts exactly")]
+                let cap = frac * g.num_nodes() as f64;
+                #[expect(clippy::as_conversions, reason = "suspect count < 2^53 converts exactly")]
+                if after as f64 > cap {
                     report.rounds -= 1;
                     if let Some(obs) = &self.obs {
                         obs.incr("res/suspect_frac_trips", 1);

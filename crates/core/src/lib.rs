@@ -35,6 +35,10 @@
 //! assert_eq!(report.suspects(), vec![NodeId(2)]);
 //! ```
 
+// Kernel arithmetic converts with `From`/`TryFrom`; an `as` cast states
+// its range invariant in an `#[expect]` reason.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 pub mod chaos;
 pub mod checkpoint;
 mod config;

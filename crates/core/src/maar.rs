@@ -255,8 +255,12 @@ impl MaarSolver {
     /// graph. Clamped to at least 1: on small graphs
     /// `floor(max_suspect_fraction · n)` rounds to 0, which would silently
     /// reject *every* candidate cut — even a single blatant spammer.
+    #[expect(
+        clippy::as_conversions,
+        reason = "n < 2^53 converts exactly and the floored fraction lies in [0, n]"
+    )]
     fn suspect_cap(&self, n: usize) -> usize {
-        ((self.config.max_suspect_fraction * n as f64).floor() as usize).max(1) // xtask-allow: lossy-cast: n < 2^53 converts exactly and the floored fraction lies in [0, n]
+        ((self.config.max_suspect_fraction * n as f64).floor() as usize).max(1)
     }
 
     /// Sweeps every `k`, each an independent extended-KL run from `start`

@@ -7,6 +7,10 @@
 //! another on the master; the sweep, its reduction and the pruning loop
 //! are `rejecto_core`'s.
 
+// Hostile-input and cut-bookkeeping arithmetic: a silently wrapping
+// counter is an adversarial primitive, so `as` casts are audited here.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::cluster::{Cluster, NodeData};
 use crate::{ClusterConfig, ClusterError, IoStats, LruCache};
 use kl::{AdjacencySource, BucketList, KParam};

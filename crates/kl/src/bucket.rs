@@ -46,8 +46,9 @@ pub(crate) const NIL: u32 = u32::MAX;
 
 /// Node ids are `u32` by construction; every slot array is indexed by id.
 #[inline]
+#[expect(clippy::as_conversions, reason = "u32 → usize widens on every supported target")]
 fn ix(node: u32) -> usize {
-    node as usize // xtask-allow: lossy-cast: u32 → usize widens on every supported target
+    node as usize
 }
 
 impl BucketList {
@@ -203,7 +204,11 @@ impl BucketList {
             self.next[ix(p)] = n;
         } else {
             // The recorded gain passed `bucket_of` when it was filed.
-            let b = (self.gain[ix(node)] - self.min_gain) as usize; // xtask-allow: lossy-cast: a filed gain lies in [min_gain, max_gain], so the offset is a valid bucket index
+            #[expect(
+                clippy::as_conversions,
+                reason = "a filed gain lies in [min_gain, max_gain], so the offset is a valid bucket index"
+            )]
+            let b = (self.gain[ix(node)] - self.min_gain) as usize;
             self.heads[b] = n;
         }
         if n != NIL {
@@ -212,12 +217,13 @@ impl BucketList {
     }
 
     /// The maximum gain among indexed nodes, if any.
+    #[expect(clippy::as_conversions, reason = "bucket index < heads.len() <= i64::MAX")]
     pub fn peek_max_gain(&mut self) -> Option<i64> {
         self.settle_high();
         if self.len == 0 {
             None
         } else {
-            Some(self.min_gain + self.high as i64) // xtask-allow: lossy-cast: bucket index < heads.len() <= i64::MAX
+            Some(self.min_gain + self.high as i64)
         }
     }
 

@@ -22,6 +22,10 @@
 //! gain an exact integer `num·ΔR − den·ΔF` — no floating-point tie-break
 //! instability in the bucket list.
 
+// Kernel arithmetic converts with `From`/`TryFrom`; an `as` cast states
+// its range invariant in an `#[expect]` reason.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 mod bucket;
 mod cancel;
 mod extended;

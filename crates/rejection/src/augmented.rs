@@ -1,3 +1,6 @@
+// Hostile-input and cut-bookkeeping arithmetic: a silently wrapping
+// counter is an adversarial primitive, so `as` casts are audited here.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 use crate::Adjacency;
 use socialgraph::{Graph, NodeId};
 

@@ -11,6 +11,10 @@
 //! OSN operators export their (friendship, rejection) logs in this shape
 //! and run the detector offline; the CLI's `detect` subcommand consumes it.
 
+// Hostile-input and cut-bookkeeping arithmetic: a silently wrapping
+// counter is an adversarial primitive, so `as` casts are audited here.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::{AugmentedGraph, AugmentedGraphBuilder, NodeId};
 use std::fmt;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};

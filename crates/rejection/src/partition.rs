@@ -1,3 +1,6 @@
+// Hostile-input and cut-bookkeeping arithmetic: a silently wrapping
+// counter is an adversarial primitive, so `as` casts are audited here.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 use crate::{AugmentedGraph, NodeId};
 
 /// Which side of the cut a node is on.
@@ -158,8 +161,10 @@ impl Partition {
     /// region to the legit region; `None` when the cut carries neither
     /// friendships nor rejections (the rate is undefined, e.g. `U = ∅`).
     pub fn acceptance_rate(&self) -> Option<f64> {
-        let f = self.cross_friendships as f64; // xtask-allow: lossy-cast: edge counts are < 2^53 and convert exactly
-        let r = self.cross_rejections as f64; // xtask-allow: lossy-cast: edge counts are < 2^53 and convert exactly
+        #[expect(clippy::as_conversions, reason = "edge counts are < 2^53 and convert exactly")]
+        let f = self.cross_friendships as f64;
+        #[expect(clippy::as_conversions, reason = "edge counts are < 2^53 and convert exactly")]
+        let r = self.cross_rejections as f64;
         if f + r == 0.0 {
             None
         } else {

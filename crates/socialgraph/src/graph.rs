@@ -1,3 +1,6 @@
+// Hostile-input and cut-bookkeeping arithmetic: a silently wrapping
+// counter is an adversarial primitive, so `as` casts are audited here.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
 use crate::{GraphError, NodeId};
 
 /// An undirected simple graph over dense node ids `0..num_nodes`.

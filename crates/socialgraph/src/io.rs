@@ -5,6 +5,10 @@
 //! These readers/writers let users run the pipeline on the real datasets
 //! when they have them.
 
+// Hostile-input and cut-bookkeeping arithmetic: a silently wrapping
+// counter is an adversarial primitive, so `as` casts are audited here.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::{Graph, GraphBuilder, GraphError, NodeId};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};

@@ -72,9 +72,10 @@ impl SybilFence {
         for s in seeds {
             assert!(s.index() < n, "seed {s} out of range");
         }
+        #[expect(clippy::as_conversions, reason = "rejection count < 2^53 converts exactly")]
         let discount: Vec<f64> = g
             .nodes()
-            .map(|u| 1.0 / (1.0 + self.config.gamma * g.rejections_received(u) as f64)) // xtask-allow: lossy-cast: rejection count < 2^53 converts exactly
+            .map(|u| 1.0 / (1.0 + self.config.gamma * g.rejections_received(u) as f64))
             .collect();
         // Per-node weighted degree: Σ over friends of the receiver-side
         // discount (what the node can emit per round).
@@ -83,14 +84,19 @@ impl SybilFence {
             .map(|u| socialgraph::det::ordered_sum(g.friends(u).iter().map(|v| discount[v.index()])))
             .collect();
 
+        #[expect(
+            clippy::as_conversions,
+            reason = "n < 2^53 converts exactly; ceil(log2 n) is a small non-negative integer"
+        )]
         let iterations = self
             .config
             .rank
             .iterations
-            .unwrap_or_else(|| (n.max(2) as f64).log2().ceil() as usize); // xtask-allow: lossy-cast: n < 2^53 converts exactly; ceil(log2 n) is a small non-negative integer
+            .unwrap_or_else(|| (n.max(2) as f64).log2().ceil() as usize);
         let mut trust = vec![0.0f64; n];
+        #[expect(clippy::as_conversions, reason = "seed count < 2^53 converts exactly")]
         for s in seeds {
-            trust[s.index()] += self.config.rank.total_trust / seeds.len() as f64; // xtask-allow: lossy-cast: seed count < 2^53 converts exactly
+            trust[s.index()] += self.config.rank.total_trust / seeds.len() as f64;
         }
         for _ in 0..iterations {
             let mut next = vec![0.0f64; n];

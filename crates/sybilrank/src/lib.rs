@@ -25,6 +25,10 @@
 //! assert!(ranking.score(NodeId(1)) > ranking.score(NodeId(4)));
 //! ```
 
+// Kernel arithmetic converts with `From`/`TryFrom`; an `as` cast states
+// its range invariant in an `#[expect]` reason.
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 mod fence;
 
 pub use fence::{SybilFence, SybilFenceConfig};
@@ -134,14 +138,19 @@ impl SybilRank {
         for s in seeds {
             assert!(s.index() < n, "seed {s} out of range");
         }
+        #[expect(
+            clippy::as_conversions,
+            reason = "n < 2^53 converts exactly; ceil(log2 n) is a small non-negative integer"
+        )]
         let iterations = self
             .config
             .iterations
-            .unwrap_or_else(|| (n.max(2) as f64).log2().ceil() as usize); // xtask-allow: lossy-cast: n < 2^53 converts exactly; ceil(log2 n) is a small non-negative integer
+            .unwrap_or_else(|| (n.max(2) as f64).log2().ceil() as usize);
 
         let mut trust = vec![0.0f64; n];
+        #[expect(clippy::as_conversions, reason = "seed count < 2^53 converts exactly")]
         for s in seeds {
-            trust[s.index()] += self.config.total_trust / seeds.len() as f64; // xtask-allow: lossy-cast: seed count < 2^53 converts exactly
+            trust[s.index()] += self.config.total_trust / seeds.len() as f64;
         }
         for _ in 0..iterations {
             let mut next = vec![0.0f64; n];
@@ -152,7 +161,8 @@ impl SybilRank {
                     next[u.index()] += trust[u.index()];
                     continue;
                 }
-                let share = trust[u.index()] / deg as f64; // xtask-allow: lossy-cast: degree < 2^53 converts exactly
+                #[expect(clippy::as_conversions, reason = "degree < 2^53 converts exactly")]
+                let share = trust[u.index()] / deg as f64;
                 for &v in g.neighbors(u) {
                     next[v.index()] += share;
                 }
@@ -160,13 +170,14 @@ impl SybilRank {
             trust = next;
         }
 
+        #[expect(clippy::as_conversions, reason = "degree < 2^53 converts exactly")]
         let score: Vec<f64> = (0..n)
             .map(|i| {
                 let deg = g.degree(NodeId::from_index(i));
                 if deg == 0 {
                     0.0
                 } else {
-                    trust[i] / deg as f64 // xtask-allow: lossy-cast: degree < 2^53 converts exactly
+                    trust[i] / deg as f64
                 }
             })
             .collect();

@@ -114,12 +114,13 @@ impl VoteTrust {
             assert!(s.index() < n, "seed {s} out of range");
         }
         let eps = self.config.restart_smoothing;
+        #[expect(clippy::as_conversions, reason = "node and seed counts < 2^53 convert exactly")]
         let restart: Vec<f64> = if trusted_seeds.is_empty() {
-            vec![1.0 / n as f64; n] // xtask-allow: lossy-cast: node count < 2^53 converts exactly
+            vec![1.0 / n as f64; n]
         } else {
-            let mut r = vec![eps / n as f64; n]; // xtask-allow: lossy-cast: node count < 2^53 converts exactly
+            let mut r = vec![eps / n as f64; n];
             for s in trusted_seeds {
-                r[s.index()] += (1.0 - eps) / trusted_seeds.len() as f64; // xtask-allow: lossy-cast: seed count < 2^53 converts exactly
+                r[s.index()] += (1.0 - eps) / trusted_seeds.len() as f64;
             }
             r
         };
@@ -134,7 +135,8 @@ impl VoteTrust {
                 if outs.is_empty() {
                     dangling += mass;
                 } else {
-                    let share = mass / outs.len() as f64; // xtask-allow: lossy-cast: out-degree < 2^53 converts exactly
+                    #[expect(clippy::as_conversions, reason = "out-degree < 2^53 converts exactly")]
+                    let share = mass / outs.len() as f64;
                     for &(t, _) in outs {
                         next[t.index()] += share;
                     }

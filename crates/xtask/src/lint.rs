@@ -20,15 +20,6 @@
 //!    ([`FLOAT_CRATES`]): no float `.sum()`/`.product()`/`.fold(0.0, ..)`
 //!    reductions except through an explicitly order-asserting helper or
 //!    pragma (accumulation order changes the result in floating point).
-//! 8. **lossy-cast** — in the [`LOSSY_CAST_CRATES`] and the
-//!    individually-audited [`LOSSY_CAST_MODULES`] (the hostile-input
-//!    ingest and cut-bookkeeping paths), `as` casts to a numeric
-//!    primitive are banned: integer-width changes truncate or
-//!    wrap, float↔int casts saturate, and all of them do it silently.
-//!    Use `From`/`TryFrom`, or carry a pragma **that states the range
-//!    invariant** making the cast lossless
-//!    (`// xtask-allow: lossy-cast: node ids < 2^32`). A reason-less
-//!    lossy-cast pragma does not suppress.
 //! 12. **dead-pragma** — an `xtask-allow` pragma that no longer
 //!     suppresses any diagnostic is itself an error, as is one naming an
 //!     unknown rule. Suppressions cannot rot: delete the pragma when the
@@ -36,8 +27,7 @@
 //!
 //! A diagnostic is opted out of with a pragma in a comment **on the same
 //! line**: `// xtask-allow: <rule>` or
-//! `// xtask-allow: <rule>: <reason>`. The reason is mandatory for
-//! `lossy-cast` ([`REASON_REQUIRED_RULES`]) and recommended everywhere.
+//! `// xtask-allow: <rule>: <reason>`. The reason is recommended.
 
 use crate::lexer::{lex, Token, TokenKind};
 use std::fmt;
@@ -74,53 +64,18 @@ pub const NO_ASSERT_CRATES: &[&str] = &["dataflow", "kl"];
 pub const FLOAT_CRATES: &[&str] =
     &["socialgraph", "kl", "core", "sybilrank", "votetrust", "dataflow", "eval"];
 
-/// Crates whose runtime paths are subject to the **lossy-cast** audit.
-/// `kl` and `core` are the kernels whose arithmetic feeds the objective;
-/// `sybilrank` / `votetrust` are the comparison baselines whose scores
-/// must agree across platforms. (`socialgraph` and `dataflow` carry a
-/// larger legacy of index casts and join the audit in a later pass.)
-pub const LOSSY_CAST_CRATES: &[&str] = &["kl", "core", "sybilrank", "votetrust"];
-
-/// Modules outside the [`LOSSY_CAST_CRATES`] that join the **lossy-cast**
-/// audit individually: the hostile-input ingest and cut-bookkeeping paths,
-/// where a silently wrapping degree or cut counter is an adversarial
-/// primitive (feed crafted edges until a counter wraps) rather than a
-/// cosmetic bug — plus the cluster's adjacency source, whose gain-bound
-/// arithmetic is kernel arithmetic. Repo-relative paths; the rest of
-/// `socialgraph` and `dataflow` still carry legacy index casts and join in
-/// a later pass.
-pub const LOSSY_CAST_MODULES: &[&str] = &[
-    "crates/socialgraph/src/graph.rs",
-    "crates/socialgraph/src/io.rs",
-    "crates/rejection/src/augmented.rs",
-    "crates/rejection/src/partition.rs",
-    "crates/rejection/src/io.rs",
-    "crates/dataflow/src/source.rs",
-];
-
-/// Rules whose pragma must carry a reason to suppress; a reason-less
-/// pragma counts as addressed (not dead) but the diagnostic still fires.
-pub const REASON_REQUIRED_RULES: &[&str] = &["lossy-cast"];
-
 /// Every rule name `xtask-allow:` accepts. `dead-pragma` is listed (so a
 /// pragma naming it parses) but is itself never suppressible.
 pub const RULES: &[&str] = &[
     "no-unwrap",
     "no-panic",
     "float-determinism",
-    "lossy-cast",
     "dead-pragma",
 ];
 
 /// Minimum `.expect("...")` message length that can plausibly state an
 /// invariant ("fixture parses", "sweep is non-empty", ...).
 pub const MIN_EXPECT_MESSAGE: usize = 8;
-
-/// The numeric primitive type names an `as` cast can target.
-const NUMERIC_PRIMITIVES: &[&str] = &[
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
-    "f32", "f64",
-];
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,7 +115,6 @@ struct Pragma {
     /// 1-based line the pragma sits on (and therefore suppresses).
     line: usize,
     rule: String,
-    reason: Option<String>,
 }
 
 /// Parses every pragma out of the token stream's comments. A pragma is
@@ -191,14 +145,7 @@ fn collect_pragmas(tokens: &[Token<'_>]) -> Vec<Pragma> {
                 .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
                 .unwrap_or(rest.len());
             let rule = rest[..name_len].to_string();
-            let tail = rest[name_len..]
-                .lines()
-                .next()
-                .unwrap_or("")
-                .trim_start_matches([':', '-', '—', ' ', '\t'])
-                .trim();
-            let reason = if tail.is_empty() { None } else { Some(tail.to_string()) };
-            out.push(Pragma { line, rule, reason });
+            out.push(Pragma { line, rule });
             search = at + "xtask-allow:".len();
         }
     }
@@ -220,28 +167,12 @@ impl<'a> Engine<'a> {
     /// Records a violation at `line` unless a same-line pragma for `rule`
     /// suppresses it (marking the pragma live either way it matches).
     fn emit(&mut self, rule: &'static str, line: usize, message: String) {
-        let mut reasonless_pragma = false;
         for (i, p) in self.pragmas.iter().enumerate() {
-            if p.line != line || p.rule != rule {
-                continue;
-            }
-            if REASON_REQUIRED_RULES.contains(&rule) && p.reason.is_none() {
-                // The pragma is addressed at this diagnostic (so it is not
-                // *dead*), but without a stated reason it does not
-                // suppress.
+            if p.line == line && p.rule == rule {
                 self.pragma_used[i] = true;
-                reasonless_pragma = true;
-                continue;
+                return;
             }
-            self.pragma_used[i] = true;
-            return;
         }
-        let message = if reasonless_pragma {
-            let what = if rule == "lossy-cast" { "range-invariant reason" } else { "justification" };
-            format!("{message} (pragma present but missing the {what})")
-        } else {
-            message
-        };
         self.out.push(Violation {
             file: self.f.rel_path.to_string(),
             line,
@@ -358,14 +289,9 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
     let panic_banned = unwrap_banned && in_src && !f.rel_path.contains("invariants");
     let assert_banned = panic_banned && NO_ASSERT_CRATES.contains(&f.crate_name);
     let float_banned = FLOAT_CRATES.contains(&f.crate_name) && in_src;
-    let cast_banned = (LOSSY_CAST_CRATES.contains(&f.crate_name)
-        || LOSSY_CAST_MODULES.contains(&f.rel_path))
-        && in_src
-        && !f.rel_path.contains("invariants");
     let runtime_rules = panic_banned
         || assert_banned
-        || float_banned
-        || cast_banned;
+        || float_banned;
     let test_start = if runtime_rules { e.test_module_start() } else { usize::MAX };
 
     for i in 0..e.sig.len() {
@@ -485,24 +411,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
             }
         }
 
-        // ---- lossy-cast -----------------------------------------------
-        if cast_banned && runtime && e.is_ident(i, "as") {
-            if let Some(ty) = e.ident(i + 1) {
-                if NUMERIC_PRIMITIVES.contains(&ty) {
-                    let ty = ty.to_string();
-                    e.emit(
-                        "lossy-cast",
-                        line,
-                        format!(
-                            "`as {ty}` silently truncates/wraps/saturates; use \
-                             `{ty}::from` / `{ty}::try_from`, or pragma the site \
-                             with the range invariant \
-                             (`// xtask-allow: lossy-cast: <invariant>`)"
-                        ),
-                    );
-                }
-            }
-        }
     }
 
     // ---- dead-pragma ----------------------------------------------------
@@ -814,60 +722,6 @@ mod tests {
         assert!(lint_file(&file("sybilrank", src)).is_empty());
     }
 
-    // ---- lossy-cast ---------------------------------------------------
-
-    #[test]
-    fn numeric_as_cast_in_audited_crate_is_flagged() {
-        let src = "fn f(n: u64) -> u32 { n as u32 }\n";
-        let v = lint_file(&file("kl", src));
-        assert_eq!(rules(&v), ["lossy-cast"]);
-        assert!(v[0].message.contains("try_from"));
-    }
-
-    #[test]
-    fn float_int_cast_is_flagged() {
-        let src = "fn f(x: f64) -> i64 { x as i64 }\n";
-        assert_eq!(rules(&lint_file(&file("core", src))), ["lossy-cast"]);
-        let src2 = "fn g(n: usize) -> f64 { n as f64 }\n";
-        assert_eq!(rules(&lint_file(&file("votetrust", src2))), ["lossy-cast"]);
-    }
-
-    #[test]
-    fn cast_outside_audited_crates_passes() {
-        let src = "fn f(n: u64) -> u32 { n as u32 }\n";
-        assert!(lint_file(&file("socialgraph", src)).is_empty());
-    }
-
-    #[test]
-    fn cast_in_test_module_passes() {
-        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g(n: u64) -> u32 { n as u32 }\n}\n";
-        assert!(lint_file(&file("kl", src)).is_empty());
-    }
-
-    #[test]
-    fn use_rename_as_is_not_a_cast() {
-        let src = "use std::collections::BTreeMap as Map;\n";
-        assert!(lint_file(&file("kl", src)).is_empty());
-    }
-
-    #[test]
-    fn try_from_conversion_passes() {
-        let src = "fn f(n: u64) -> u32 { u32::try_from(n).expect(\"node ids fit u32\") }\n";
-        assert!(lint_file(&file("kl", src)).is_empty());
-    }
-
-    #[test]
-    fn cast_pragma_requires_a_reason() {
-        let with_reason =
-            "fn f(n: u32) -> usize { n as usize } // xtask-allow: lossy-cast: u32 widens into usize on all supported targets\n";
-        assert!(lint_file(&file("kl", with_reason)).is_empty());
-
-        let without_reason = "fn f(n: u32) -> usize { n as usize } // xtask-allow: lossy-cast\n";
-        let v = lint_file(&file("kl", without_reason));
-        assert_eq!(rules(&v), ["lossy-cast"]);
-        assert!(v[0].message.contains("missing the range-invariant reason"));
-    }
-
     // ---- dead-pragma --------------------------------------------------
 
     #[test]
@@ -922,23 +776,6 @@ mod tests {
         let v = lint_file(&file("rejection", src));
         assert_eq!(v.len(), 2);
         assert!(v[0].line < v[1].line);
-    }
-
-    #[test]
-    fn pragma_reason_is_parsed() {
-        let toks = lex("// xtask-allow: lossy-cast: gains fit i64 by construction\n");
-        let ps = collect_pragmas(&toks);
-        assert_eq!(ps.len(), 1);
-        assert_eq!(ps[0].rule, "lossy-cast");
-        assert_eq!(ps[0].reason.as_deref(), Some("gains fit i64 by construction"));
-    }
-
-    #[test]
-    fn pragma_without_reason_parses_with_none() {
-        let toks = lex("// xtask-allow: no-panic\n");
-        let ps = collect_pragmas(&toks);
-        assert_eq!(ps[0].rule, "no-panic");
-        assert_eq!(ps[0].reason, None);
     }
 
     #[test]
