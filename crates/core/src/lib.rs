@@ -35,6 +35,8 @@
 //! assert_eq!(report.suspects(), vec![NodeId(2)]);
 //! ```
 
+// A library fails through typed errors or `.expect("<invariant>")`.
+#![deny(clippy::unwrap_used)]
 // Kernel arithmetic converts with `From`/`TryFrom`; an `as` cast states
 // its range invariant in an `#[expect]` reason.
 #![cfg_attr(not(test), deny(clippy::as_conversions))]

@@ -6,6 +6,8 @@
 //! uninterrupted run's report exactly — at both `threads = 1` (the exact
 //! serial path) and `threads = 4` (a real worker pool).
 
+#![deny(clippy::unwrap_used)]
+
 use proptest::prelude::*;
 use rejecto_core::{Checkpoint, DetectionReport, IterativeDetector, RejectoConfig, Seeds, Termination};
 use rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeId};

@@ -8,6 +8,8 @@
 //! serial path) and `threads = 4` (a real worker pool) with identical
 //! results demanded of both.
 
+#![deny(clippy::unwrap_used)]
+
 use rejecto_core::{
     Checkpoint, Completion, DetectionReport, FaultPlan, InterruptReason, IterativeDetector,
     RejectoConfig, RuntimeError, Seeds, Termination,

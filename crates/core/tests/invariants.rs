@@ -1,6 +1,8 @@
 //! Tests for the pipeline-level `debug-invariants` checkers (compiled only
 //! with `cargo test --features debug-invariants -p rejecto-core`): silent
 //! on well-formed bookkeeping, panicking on corrupted state.
+
+#![deny(clippy::unwrap_used)]
 #![cfg(feature = "debug-invariants")]
 
 use rejecto_core::invariants::{assert_partition_bookkeeping, assert_report_bookkeeping};

@@ -8,6 +8,8 @@
 //! [`rejecto_obs::strip_timings`] must recover the deterministic
 //! document from the full rendering.
 
+#![deny(clippy::unwrap_used)]
+
 use rejecto_core::{FaultPlan, IterativeDetector, RejectoConfig, Seeds, Termination};
 use simulator::{Scenario, ScenarioConfig, SimOutput};
 use socialgraph::surrogates::Surrogate;

@@ -10,6 +10,8 @@
 //! hand-built toy graph. `cargo xtask check --determinism` enforces the
 //! same contract in-process on every CI run.
 
+#![deny(clippy::unwrap_used)]
+
 use rejecto_core::{DetectionReport, IterativeDetector, RejectoConfig, Seeds, Termination};
 use simulator::{Scenario, ScenarioConfig, SimOutput};
 use socialgraph::surrogates::Surrogate;

@@ -1,6 +1,8 @@
 //! Property-based validation of the MAAR heuristic against the exhaustive
 //! oracle on small random graphs.
 
+#![deny(clippy::unwrap_used)]
+
 use proptest::prelude::*;
 use rejecto_core::{exact, MaarSolver, RejectoConfig};
 use rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeId};

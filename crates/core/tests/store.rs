@@ -13,6 +13,8 @@
 //!   generation and the finished run is identical to an uninterrupted one,
 //!   at `threads = 1` and `threads = 4`.
 
+#![deny(clippy::unwrap_used)]
+
 use proptest::prelude::*;
 use rejecto_core::store::{atomic_write, decode_frame, encode_frame, CheckpointStore, StoreError};
 use rejecto_core::{

@@ -28,6 +28,8 @@
 //!   buffer per sweep, and the `rejecto_core::SweepBackend` that runs a
 //!   sweep's `k` values on the master against it.
 
+// A library fails through typed errors or `.expect("<invariant>")`.
+#![deny(clippy::unwrap_used)]
 mod cluster;
 mod detect;
 mod error;

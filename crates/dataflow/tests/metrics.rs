@@ -8,6 +8,8 @@
 //! metrics of the plain in-process run, because the cluster is supposed
 //! to be invisible in every observable output.
 
+#![deny(clippy::unwrap_used)]
+
 use dataflow::{ClusterConfig, DistributedDetector};
 use rejecto_core::{
     FaultPlan, IterativeDetector, RejectoConfig, Seeds, Termination,

@@ -4,6 +4,8 @@
 //! the cache must agree with it on hits, evictions, and recency under
 //! arbitrary operation sequences.
 
+#![deny(clippy::unwrap_used)]
+
 use dataflow::LruCache;
 use proptest::prelude::*;
 

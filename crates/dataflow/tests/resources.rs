@@ -6,6 +6,8 @@
 //! the exact same partial report as the in-process detector, at any worker
 //! count.
 
+#![deny(clippy::unwrap_used)]
+
 use dataflow::{ClusterConfig, DistributedDetector};
 use rejecto_core::{
     Completion, InterruptReason, IterativeDetector, RejectoConfig, ResourceBudget, Seeds,

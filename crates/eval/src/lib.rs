@@ -9,6 +9,8 @@
 //! * [`Summary`] — mean/std/CI summaries for replicated experiment runs;
 //! * [`table`] — a fixed-width text-table renderer for harness output.
 
+// A library fails through typed errors or `.expect("<invariant>")`.
+#![deny(clippy::unwrap_used)]
 mod cdf;
 mod ranking;
 mod stats;

@@ -1,5 +1,7 @@
 //! Property-based tests for the evaluation metrics.
 
+#![deny(clippy::unwrap_used)]
+
 use eval::{auc, precision_recall, Cdf};
 use proptest::prelude::*;
 

@@ -22,6 +22,8 @@
 //! gain an exact integer `num·ΔR − den·ΔF` — no floating-point tie-break
 //! instability in the bucket list.
 
+// A library fails through typed errors or `.expect("<invariant>")`.
+#![deny(clippy::unwrap_used)]
 // Kernel arithmetic converts with `From`/`TryFrom`; an `as` cast states
 // its range invariant in an `#[expect]` reason.
 #![cfg_attr(not(test), deny(clippy::as_conversions))]

@@ -1,6 +1,8 @@
 //! Tests for the `debug-invariants` checkers: they must stay silent on a
 //! faithful gain index and panic on a corrupted one. Compiled only when
 //! the feature is on (`cargo test --features debug-invariants -p kl`).
+
+#![deny(clippy::unwrap_used)]
 #![cfg(feature = "debug-invariants")]
 
 use kl::{BucketList, ExtendedKl, ExtendedKlConfig, KParam};

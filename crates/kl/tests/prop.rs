@@ -1,5 +1,7 @@
 //! Property-based tests for the bucket list and the extended KL solver.
 
+#![deny(clippy::unwrap_used)]
+
 use kl::{BucketList, ExtendedKl, ExtendedKlConfig, KParam};
 use proptest::prelude::*;
 use rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeId, Partition};

@@ -37,6 +37,8 @@
 //! is hand-rolled so the byte layout is owned by this file and versioned
 //! by [`SCHEMA`].
 
+// A library fails through typed errors or `.expect("<invariant>")`.
+#![deny(clippy::unwrap_used)]
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 #[expect(

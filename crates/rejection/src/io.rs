@@ -481,14 +481,14 @@ mod tests {
 
     #[test]
     fn rejects_missing_header() {
-        let err = read_augmented("F 0 1\n".as_bytes()).unwrap_err();
+        let err = read_augmented("F 0 1\n".as_bytes()).expect_err("must be rejected");
         assert!(matches!(err, AugmentedIoError::BadHeader { .. }));
     }
 
     #[test]
     fn rejects_unknown_edge_kind() {
         let data = format!("{HEADER_PREFIX}3\nX 0 1\n");
-        let err = read_augmented(data.as_bytes()).unwrap_err();
+        let err = read_augmented(data.as_bytes()).expect_err("must be rejected");
         match err {
             AugmentedIoError::Parse { line, token, .. } => {
                 assert_eq!(line, 2);
@@ -501,7 +501,7 @@ mod tests {
     #[test]
     fn parse_error_names_the_bad_endpoint_token() {
         let data = format!("{HEADER_PREFIX}3\nF 0 1\nR 1 banana\n");
-        let err = read_augmented(data.as_bytes()).unwrap_err();
+        let err = read_augmented(data.as_bytes()).expect_err("must be rejected");
         match err {
             AugmentedIoError::Parse { line, token, content } => {
                 assert_eq!(line, 3);
@@ -515,7 +515,7 @@ mod tests {
     #[test]
     fn truncated_line_reports_end_of_line() {
         let data = format!("{HEADER_PREFIX}3\nF 0\n");
-        let err = read_augmented(data.as_bytes()).unwrap_err();
+        let err = read_augmented(data.as_bytes()).expect_err("must be rejected");
         match err {
             AugmentedIoError::Parse { token, .. } => assert_eq!(token, "<end of line>"),
             other => panic!("expected Parse, got {other}"),
@@ -526,7 +526,7 @@ mod tests {
     fn in_file_prepends_the_path_and_chains_the_source() {
         use std::error::Error;
         let data = format!("{HEADER_PREFIX}3\nX 0 1\n");
-        let err = read_augmented(data.as_bytes()).unwrap_err().in_file("attack.rjg");
+        let err = read_augmented(data.as_bytes()).expect_err("must be rejected").in_file("attack.rjg");
         let msg = err.to_string();
         assert!(msg.starts_with("attack.rjg: "), "{msg}");
         assert!(msg.contains("line 2"), "{msg}");
@@ -545,7 +545,7 @@ mod tests {
 
     #[test]
     fn lenient_mode_still_rejects_a_bad_header() {
-        let err = read_augmented_lenient("F 0 1\n".as_bytes()).unwrap_err();
+        let err = read_augmented_lenient("F 0 1\n".as_bytes()).expect_err("must be rejected");
         assert!(matches!(err, AugmentedIoError::BadHeader { .. }));
     }
 
@@ -563,7 +563,7 @@ mod tests {
     #[test]
     fn rejects_out_of_range_nodes() {
         let data = format!("{HEADER_PREFIX}2\nF 0 5\n");
-        let err = read_augmented(data.as_bytes()).unwrap_err();
+        let err = read_augmented(data.as_bytes()).expect_err("must be rejected");
         assert!(matches!(err, AugmentedIoError::NodeOutOfRange { node: 5, .. }));
     }
 
@@ -586,7 +586,7 @@ mod tests {
     #[test]
     fn strict_rejects_self_loops_with_a_typed_error() {
         let data = format!("{HEADER_PREFIX}3\nF 1 1\n");
-        let err = read_augmented(data.as_bytes()).unwrap_err();
+        let err = read_augmented(data.as_bytes()).expect_err("must be rejected");
         assert!(
             matches!(err, AugmentedIoError::HostileEdge { line: 2, kind: "self-loop", u: 1, v: 1 }),
             "{err}"
@@ -596,7 +596,7 @@ mod tests {
     #[test]
     fn strict_rejects_duplicate_friendships_either_order() {
         let data = format!("{HEADER_PREFIX}3\nF 0 1\nF 1 0\n");
-        let err = read_augmented(data.as_bytes()).unwrap_err();
+        let err = read_augmented(data.as_bytes()).expect_err("must be rejected");
         assert!(
             matches!(err, AugmentedIoError::HostileEdge { line: 3, kind: "duplicate edge", .. }),
             "{err}"
@@ -608,7 +608,7 @@ mod tests {
         let ok = format!("{HEADER_PREFIX}3\nR 0 1\nR 1 0\n");
         read_augmented(ok.as_bytes()).expect("opposite directions are distinct edges");
         let dup = format!("{HEADER_PREFIX}3\nR 0 1\nR 0 1\n");
-        let err = read_augmented(dup.as_bytes()).unwrap_err();
+        let err = read_augmented(dup.as_bytes()).expect_err("must be rejected");
         assert!(
             matches!(err, AugmentedIoError::HostileEdge { kind: "duplicate edge", .. }),
             "{err}"
@@ -625,7 +625,7 @@ mod tests {
         assert_eq!(g.num_rejections(), 1);
 
         let guards = IngestGuards { reject_conflicts: true, ..IngestGuards::default() };
-        let err = read_augmented_guarded(data.as_bytes(), guards).unwrap_err();
+        let err = read_augmented_guarded(data.as_bytes(), guards).expect_err("must be rejected");
         assert!(
             matches!(
                 err,
@@ -638,7 +638,7 @@ mod tests {
         );
         // Reversed order (rejection first, then friendship) trips too.
         let rev = format!("{HEADER_PREFIX}3\nR 1 0\nF 0 1\n");
-        let err = read_augmented_guarded(rev.as_bytes(), guards).unwrap_err();
+        let err = read_augmented_guarded(rev.as_bytes(), guards).expect_err("must be rejected");
         assert!(
             matches!(
                 err,
@@ -664,7 +664,7 @@ mod tests {
     #[test]
     fn oversized_header_fails_before_allocating() {
         let data = format!("{HEADER_PREFIX}4294967296\n");
-        let err = read_augmented(data.as_bytes()).unwrap_err();
+        let err = read_augmented(data.as_bytes()).expect_err("must be rejected");
         assert!(
             matches!(
                 err,
@@ -678,7 +678,7 @@ mod tests {
     fn node_budget_gates_the_declared_count() {
         let guards = IngestGuards { max_nodes: Some(10), ..IngestGuards::default() };
         let data = format!("{HEADER_PREFIX}11\n");
-        let err = read_augmented_guarded(data.as_bytes(), guards).unwrap_err();
+        let err = read_augmented_guarded(data.as_bytes(), guards).expect_err("must be rejected");
         assert!(
             matches!(
                 err,
@@ -698,7 +698,7 @@ mod tests {
             ..IngestGuards::default()
         };
         let data = format!("{HEADER_PREFIX}4\nF 0 1\nF 2 3\n");
-        let err = read_augmented_lenient_guarded(data.as_bytes(), guards).unwrap_err();
+        let err = read_augmented_lenient_guarded(data.as_bytes(), guards).expect_err("must be rejected");
         assert!(
             matches!(
                 err,
@@ -711,7 +711,7 @@ mod tests {
             "{err}"
         );
         let data = format!("{HEADER_PREFIX}4\nR 0 1\nR 2 3\n");
-        let err = read_augmented_guarded(data.as_bytes(), guards).unwrap_err();
+        let err = read_augmented_guarded(data.as_bytes(), guards).expect_err("must be rejected");
         assert!(
             matches!(
                 err,

@@ -30,6 +30,8 @@
 //! assert_eq!(p.acceptance_rate(), Some(0.0));
 //! ```
 
+// A library fails through typed errors or `.expect("<invariant>")`.
+#![deny(clippy::unwrap_used)]
 mod augmented;
 pub mod io;
 mod partition;

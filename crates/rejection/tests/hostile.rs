@@ -4,6 +4,8 @@
 //! produce typed errors or counted skips — never a panic, and never an
 //! allocation past an armed [`IngestGuards`] budget.
 
+#![deny(clippy::unwrap_used)]
+
 use proptest::prelude::*;
 use rejection::io::{
     read_augmented, read_augmented_guarded, read_augmented_lenient,

@@ -1,5 +1,7 @@
 //! Property-based tests for the augmented graph and partition invariants.
 
+#![deny(clippy::unwrap_used)]
+
 use proptest::prelude::*;
 use rejection::{AugmentedGraph, AugmentedGraphBuilder, NodeId, Partition, Region};
 

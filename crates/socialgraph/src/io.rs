@@ -292,13 +292,13 @@ mod tests {
 
     #[test]
     fn rejects_garbage_lines() {
-        let err = read_edge_list("1 banana\n".as_bytes()).unwrap_err();
+        let err = read_edge_list("1 banana\n".as_bytes()).expect_err("must be rejected");
         assert!(matches!(err, GraphError::Parse { line: 1, .. }));
     }
 
     #[test]
     fn parse_error_carries_the_offending_token() {
-        let err = read_edge_list("# ok\n1 2\n3 banana\n".as_bytes()).unwrap_err();
+        let err = read_edge_list("# ok\n1 2\n3 banana\n".as_bytes()).expect_err("must be rejected");
         match err {
             GraphError::Parse { line, token, content } => {
                 assert_eq!(line, 3);
@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn truncated_line_reports_end_of_line() {
-        let err = read_edge_list("1\n".as_bytes()).unwrap_err();
+        let err = read_edge_list("1\n".as_bytes()).expect_err("must be rejected");
         match err {
             GraphError::Parse { token, .. } => assert_eq!(token, "<end of line>"),
             other => panic!("expected Parse, got {other}"),
@@ -366,7 +366,7 @@ mod tests {
             data.as_bytes(),
             EdgeListLimits { max_nodes: Some(3), max_edges: None },
         )
-        .unwrap_err();
+        .expect_err("must be rejected");
         match err {
             GraphError::ResourceExhausted { resource, limit, observed } => {
                 assert_eq!(resource, "nodes");
@@ -384,7 +384,7 @@ mod tests {
             data.as_bytes(),
             EdgeListLimits { max_nodes: None, max_edges: Some(2) },
         )
-        .unwrap_err();
+        .expect_err("must be rejected");
         assert!(
             matches!(err, GraphError::ResourceExhausted { resource: "edges", limit: 2, .. }),
             "{err}"
@@ -411,7 +411,7 @@ mod tests {
             data.as_bytes(),
             EdgeListLimits { max_nodes: Some(2), max_edges: None },
         )
-        .unwrap_err();
+        .expect_err("must be rejected");
         assert!(matches!(err, GraphError::ResourceExhausted { resource: "nodes", .. }), "{err}");
     }
 

@@ -29,6 +29,8 @@
 //! assert_eq!(g.degree(NodeId(1)), 2);
 //! ```
 
+// A library fails through typed errors or `.expect("<invariant>")`.
+#![deny(clippy::unwrap_used)]
 mod error;
 mod graph;
 mod id;

@@ -3,6 +3,8 @@
 //! (or clean skips in lenient mode) — never a panic, never unbounded
 //! allocation past an armed [`EdgeListLimits`] budget.
 
+#![deny(clippy::unwrap_used)]
+
 use proptest::prelude::*;
 use socialgraph::io::{
     read_edge_list, read_edge_list_bounded, read_edge_list_lenient,

@@ -1,5 +1,7 @@
 //! Property-based tests for the graph substrate.
 
+#![deny(clippy::unwrap_used)]
+
 use proptest::prelude::*;
 use socialgraph::{io, metrics, Graph, GraphBuilder, NodeId};
 

@@ -25,6 +25,8 @@
 //! assert!(ranking.score(NodeId(1)) > ranking.score(NodeId(4)));
 //! ```
 
+// A library fails through typed errors or `.expect("<invariant>")`.
+#![deny(clippy::unwrap_used)]
 // Kernel arithmetic converts with `From`/`TryFrom`; an `as` cast states
 // its range invariant in an `#[expect]` reason.
 #![cfg_attr(not(test), deny(clippy::as_conversions))]

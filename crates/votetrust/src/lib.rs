@@ -23,6 +23,8 @@
 //! rates, so collusion dilutes it, and fakes that send no requests keep the
 //! default rating and are missed entirely.
 
+// A library fails through typed errors or `.expect("<invariant>")`.
+#![deny(clippy::unwrap_used)]
 // Kernel arithmetic converts with `From`/`TryFrom`; an `as` cast states
 // its range invariant in an `#[expect]` reason.
 #![cfg_attr(not(test), deny(clippy::as_conversions))]

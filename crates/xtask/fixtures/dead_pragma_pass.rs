@@ -2,5 +2,5 @@
 //~ path: crates/rejection/src/fixture.rs
 
 pub fn take(opt: Option<u64>) -> u64 {
-    opt.unwrap() // xtask-allow: no-unwrap: fixture exercises the live-pragma path
+    opt.expect("x") // xtask-allow: no-unwrap: fixture exercises the live-pragma path
 }

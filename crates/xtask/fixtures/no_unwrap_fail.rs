@@ -1,10 +1,6 @@
 //~ crate: rejection
 //~ path: crates/rejection/src/fixture.rs
 
-pub fn take(opt: Option<u64>) -> u64 {
-    opt.unwrap() //~ expect: no-unwrap
-}
-
 pub fn weak(opt: Option<u64>) -> u64 {
     opt.expect("oops") //~ expect: no-unwrap
 }

@@ -6,9 +6,9 @@
 //! ([`crate::lexer`]); the rest exist *because* of the token stream
 //! — they are not expressible at line granularity:
 //!
-//! 1. **no-unwrap** — library crates may not call `.unwrap()`; failures
-//!    must surface either as `Result`s or as `.expect("<invariant>")`
-//!    with a message long enough to actually state the invariant.
+//! 1. **no-unwrap** — in library crates, an `.expect("<invariant>")`
+//!    message must be long enough to actually state the invariant
+//!    (`.unwrap()` itself is denied by `clippy::unwrap_used`).
 //! 5. **no-panic** — library *runtime* paths (the `/src/` trees of the
 //!    [`NO_UNWRAP_CRATES`], outside `#[cfg(test)]` modules and the
 //!    dedicated invariants modules) may not call `panic!`, `todo!`, or
@@ -299,20 +299,6 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
         let runtime = line < test_start;
 
         // ---- no-unwrap ------------------------------------------------
-        if unwrap_banned
-            && e.is_punct(i, ".")
-            && e.is_ident(i + 1, "unwrap")
-            && e.is_punct(i + 2, "(")
-            && e.is_punct(i + 3, ")")
-        {
-            e.emit(
-                "no-unwrap",
-                e.line_of(i + 1),
-                "`.unwrap()` in a library crate; return a Result or use \
-                 `.expect(\"<invariant>\")`"
-                    .to_string(),
-            );
-        }
         if unwrap_banned && e.is_punct(i, ".") && e.is_ident(i + 1, "expect") && e.is_punct(i + 2, "(")
         {
             if let Some(msg) = e.string_content(i + 3) {
@@ -461,50 +447,6 @@ mod tests {
     }
 
     // ---- no-unwrap ----------------------------------------------------
-
-    #[test]
-    fn unwrap_in_library_crate_is_flagged() {
-        let src = "fn f() { let x = opt.unwrap(); }\n";
-        let v = lint_file(&file("rejection", src));
-        assert_eq!(rules(&v), ["no-unwrap"]);
-        assert_eq!(v[0].line, 1);
-        assert_eq!(v[0].snippet, "fn f() { let x = opt.unwrap(); }");
-    }
-
-    #[test]
-    fn unwrap_outside_banned_crates_passes() {
-        let src = "fn f() { let x = opt.unwrap(); }\n";
-        assert!(lint_file(&file("bench", src)).is_empty());
-    }
-
-    #[test]
-    fn unwrap_in_comment_or_doc_is_ignored() {
-        let src = "// calls .unwrap() internally\n/// like .unwrap()\nfn f() {}\n";
-        assert!(lint_file(&file("rejection", src)).is_empty());
-    }
-
-    /// The PR 2 line scanner kept string *contents* when stripping
-    /// comments, so this exact source produced a false positive. The
-    /// lexer lints tokens, and a string is one token.
-    #[test]
-    fn unwrap_inside_string_literal_is_ignored() {
-        let src = "fn f() { let s = \"never call .unwrap() here\"; }\n";
-        assert!(lint_file(&file("rejection", src)).is_empty());
-    }
-
-    /// Raw strings desynchronised the PR 2 state machine entirely (the
-    /// interior `"` flipped it out of string mode).
-    #[test]
-    fn unwrap_inside_raw_string_is_ignored() {
-        let src = "fn f() { let s = r#\"interior \" then .unwrap() \"#; }\n";
-        assert!(lint_file(&file("rejection", src)).is_empty());
-    }
-
-    #[test]
-    fn unwrap_with_pragma_is_allowed() {
-        let src = "let x = opt.unwrap(); // xtask-allow: no-unwrap: fixture input is static\n";
-        assert!(lint_file(&file("rejection", src)).is_empty());
-    }
 
     /// Doc comments describe pragmas without declaring them; a
     /// `xtask-allow:` inside one is neither a suppression nor dead.
@@ -734,7 +676,7 @@ mod tests {
 
     #[test]
     fn live_pragma_is_not_dead() {
-        let src = "let x = opt.unwrap(); // xtask-allow: no-unwrap: static fixture\n";
+        let src = "let x = opt.expect(\"x\"); // xtask-allow: no-unwrap: static fixture\n";
         assert!(lint_file(&file("rejection", src)).is_empty());
     }
 
@@ -748,7 +690,7 @@ mod tests {
 
     #[test]
     fn pragma_on_the_wrong_line_is_dead_and_does_not_suppress() {
-        let src = "// xtask-allow: no-unwrap\nlet x = opt.unwrap();\n";
+        let src = "// xtask-allow: no-unwrap\nlet x = opt.expect(\"x\");\n";
         let v = lint_file(&file("rejection", src));
         assert_eq!(rules(&v), ["dead-pragma", "no-unwrap"]);
     }
@@ -772,7 +714,7 @@ mod tests {
 
     #[test]
     fn violations_are_sorted_by_line() {
-        let src = "fn a() { x.unwrap(); }\nfn b() { y.unwrap(); }\n";
+        let src = "fn a() { x.expect(\"a\"); }\nfn b() { y.expect(\"b\"); }\n";
         let v = lint_file(&file("rejection", src));
         assert_eq!(v.len(), 2);
         assert!(v[0].line < v[1].line);
