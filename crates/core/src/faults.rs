@@ -421,8 +421,12 @@ impl FaultInjector {
 /// Trips an injected worker panic. The single sanctioned `panic!` of the
 /// runtime path: it exists to *test* the panic-catching machinery, and the
 /// pool converts it straight back into a [`crate::RuntimeError`].
+#[expect(
+    clippy::panic,
+    reason = "fault injection: the pool's catch_unwind turns it back into a RuntimeError"
+)]
 pub(crate) fn trigger_injected_panic(k_index: usize) -> ! {
-    panic!("injected worker panic at sweep index {k_index}") // xtask-allow: no-panic
+    panic!("injected worker panic at sweep index {k_index}")
 }
 
 #[cfg(test)]

@@ -28,8 +28,16 @@
 //!   buffer per sweep, and the `rejecto_core::SweepBackend` that runs a
 //!   sweep's `k` values on the master against it.
 
-// A library fails through typed errors or `.expect("<invariant>")`.
-#![deny(clippy::unwrap_used)]
+// A library fails through typed errors or `.expect("<invariant>")`,
+// never by panicking (DESIGN.md §12); tests may panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 mod cluster;
 mod detect;
 mod error;

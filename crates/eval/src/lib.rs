@@ -9,8 +9,16 @@
 //! * [`Summary`] — mean/std/CI summaries for replicated experiment runs;
 //! * [`table`] — a fixed-width text-table renderer for harness output.
 
-// A library fails through typed errors or `.expect("<invariant>")`.
-#![deny(clippy::unwrap_used)]
+// A library fails through typed errors or `.expect("<invariant>")`,
+// never by panicking (DESIGN.md §12); tests may panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 mod cdf;
 mod ranking;
 mod stats;

@@ -37,8 +37,16 @@
 //! is hand-rolled so the byte layout is owned by this file and versioned
 //! by [`SCHEMA`].
 
-// A library fails through typed errors or `.expect("<invariant>")`.
-#![deny(clippy::unwrap_used)]
+// A library fails through typed errors or `.expect("<invariant>")`,
+// never by panicking (DESIGN.md §12); tests may panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 #[expect(

@@ -30,8 +30,16 @@
 //! assert_eq!(p.acceptance_rate(), Some(0.0));
 //! ```
 
-// A library fails through typed errors or `.expect("<invariant>")`.
-#![deny(clippy::unwrap_used)]
+// A library fails through typed errors or `.expect("<invariant>")`,
+// never by panicking (DESIGN.md §12); tests may panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 mod augmented;
 pub mod io;
 mod partition;

@@ -23,8 +23,15 @@
 //! rates, so collusion dilutes it, and fakes that send no requests keep the
 //! default rating and are missed entirely.
 
-// A library fails through typed errors or `.expect("<invariant>")`.
-#![deny(clippy::unwrap_used)]
+// A library fails through typed errors or `.expect("<invariant>")`,
+// never by panicking (DESIGN.md §12); tests may panic.
+#![deny(
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
 // Kernel arithmetic converts with `From`/`TryFrom`; an `as` cast states
 // its range invariant in an `#[expect]` reason.
 #![cfg_attr(not(test), deny(clippy::as_conversions))]

@@ -9,13 +9,11 @@
 //! 1. **no-unwrap** — in library crates, an `.expect("<invariant>")`
 //!    message must be long enough to actually state the invariant
 //!    (`.unwrap()` itself is denied by `clippy::unwrap_used`).
-//! 5. **no-panic** — library *runtime* paths (the `/src/` trees of the
-//!    [`NO_UNWRAP_CRATES`], outside `#[cfg(test)]` modules and the
-//!    dedicated invariants modules) may not call `panic!`, `todo!`, or
-//!    `unimplemented!`; `unreachable!` needs a message stating *why* the
-//!    arm is impossible. The [`NO_ASSERT_CRATES`] additionally ban
-//!    `assert!` in runtime paths (`debug_assert!` stays allowed): their
-//!    contract is *degrade, don't abort*.
+//! 5. **no-panic** — the [`NO_ASSERT_CRATES`] ban `assert!` in runtime
+//!    paths (the `/src/` trees outside `#[cfg(test)]` modules and the
+//!    dedicated invariants modules; `debug_assert!` stays allowed): their
+//!    contract is *degrade, don't abort*. (`panic!`, `todo!`,
+//!    `unimplemented!` and `unreachable!` are denied by clippy.)
 //! 7. **float-determinism** — in the float-bearing kernels
 //!    ([`FLOAT_CRATES`]): no float `.sum()`/`.product()`/`.fold(0.0, ..)`
 //!    reductions except through an explicitly order-asserting helper or
@@ -316,47 +314,15 @@ pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
         }
 
         // ---- no-panic -------------------------------------------------
-        if panic_banned && runtime && e.is_punct(i + 1, "!") {
-            if let Some(mac) = e.ident(i).map(str::to_string) {
-                if matches!(mac.as_str(), "panic" | "todo" | "unimplemented") {
-                    e.emit(
-                        "no-panic",
-                        line,
-                        format!(
-                            "`{mac}!` in a library runtime path; fail through the \
-                             structured RuntimeError taxonomy instead"
-                        ),
-                    );
-                }
-                if mac == "unreachable" && e.is_punct(i + 2, "(") {
-                    let weak = match e.string_content(i + 3) {
-                        Some(msg) => msg.len() < MIN_EXPECT_MESSAGE,
-                        // Bare `unreachable!()` is weak; a computed message
-                        // (format!) is accepted, same as `.expect`.
-                        None => e.is_punct(i + 3, ")"),
-                    };
-                    if weak {
-                        e.emit(
-                            "no-panic",
-                            line,
-                            format!(
-                                "`unreachable!` without a message stating why the arm \
-                                 is impossible (< {MIN_EXPECT_MESSAGE} chars)"
-                            ),
-                        );
-                    }
-                }
-                if assert_banned && mac == "assert" {
-                    e.emit(
-                        "no-panic",
-                        line,
-                        "`assert!` aborts release builds; this crate must degrade \
-                         through its structured error taxonomy (use `debug_assert!` \
-                         for invariants)"
-                            .to_string(),
-                    );
-                }
-            }
+        if assert_banned && runtime && e.is_ident(i, "assert") && e.is_punct(i + 1, "!") {
+            e.emit(
+                "no-panic",
+                line,
+                "`assert!` aborts release builds; this crate must degrade \
+                 through its structured error taxonomy (use `debug_assert!` \
+                 for invariants)"
+                    .to_string(),
+            );
         }
 
         // ---- float-determinism ----------------------------------------
@@ -491,45 +457,9 @@ mod tests {
     // ---- no-panic -----------------------------------------------------
 
     #[test]
-    fn panic_in_library_runtime_path_is_flagged() {
-        for src in [
-            "fn f() { panic!(\"boom\"); }\n",
-            "fn f() { todo!() }\n",
-            "fn f() { unimplemented!() }\n",
-        ] {
-            let v = lint_file(&file("core", src));
-            assert_eq!(rules(&v), ["no-panic"], "{src:?}");
-        }
-    }
-
-    #[test]
-    fn panic_outside_no_unwrap_crates_passes() {
-        let src = "fn f() { panic!(\"boom\"); }\n";
-        assert!(lint_file(&file("bench", src)).is_empty());
-    }
-
-    #[test]
-    fn catch_unwind_path_is_not_a_panic_call() {
-        let src = "let r = std::panic::catch_unwind(|| 1);\n";
-        assert!(lint_file(&file("core", src)).is_empty());
-    }
-
-    #[test]
-    fn panic_with_pragma_is_allowed() {
-        let src = "panic!(\"injected fault\") // xtask-allow: no-panic: fault injection trigger\n";
-        assert!(lint_file(&file("core", src)).is_empty());
-    }
-
-    #[test]
-    fn panic_below_the_test_module_passes() {
-        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { panic!(\"t\"); }\n}\n";
-        assert!(lint_file(&file("core", src)).is_empty());
-    }
-
-    #[test]
     fn cfg_test_on_a_lone_item_does_not_end_the_scan() {
-        let src = "#[cfg(test)]\nfn helper() {}\nfn f() { panic!(\"boom\"); }\n";
-        let v = lint_file(&file("core", src));
+        let src = "#[cfg(test)]\nfn helper() {}\nfn f() { assert!(true); }\n";
+        let v = lint_file(&file("dataflow", src));
         assert_eq!(rules(&v), ["no-panic"]);
         assert_eq!(v[0].line, 3);
     }
@@ -537,9 +467,9 @@ mod tests {
     #[test]
     fn invariants_modules_may_panic() {
         let f = SourceFile {
-            rel_path: "crates/core/src/invariants.rs",
-            crate_name: "core",
-            text: "pub fn check() { panic!(\"corrupted bookkeeping\"); }\n",
+            rel_path: "crates/kl/src/invariants.rs",
+            crate_name: "kl",
+            text: "pub fn check() { assert!(false, \"corrupted bookkeeping\"); }\n",
         };
         assert!(lint_file(&f).is_empty());
     }
@@ -547,27 +477,11 @@ mod tests {
     #[test]
     fn test_directories_may_panic() {
         let f = SourceFile {
-            rel_path: "crates/core/tests/faults.rs",
-            crate_name: "core",
-            text: "fn f() { panic!(\"assertion\"); }\n",
+            rel_path: "crates/dataflow/tests/prop.rs",
+            crate_name: "dataflow",
+            text: "fn f() { assert!(false, \"assertion\"); }\n",
         };
         assert!(lint_file(&f).is_empty());
-    }
-
-    #[test]
-    fn bare_unreachable_is_flagged_but_messaged_unreachable_passes() {
-        let bare = "fn f() { unreachable!() }\n";
-        let v = lint_file(&file("dataflow", bare));
-        assert_eq!(rules(&v), ["no-panic"]);
-
-        let weak = "fn f() { unreachable!(\"no\") }\n";
-        assert_eq!(lint_file(&file("dataflow", weak)).len(), 1);
-
-        let messaged = "fn f() { unreachable!(\"retry loop returns or panics\") }\n";
-        assert!(lint_file(&file("dataflow", messaged)).is_empty());
-
-        let computed = "fn f() { unreachable!(\"state {s:?} impossible\") }\n";
-        assert!(lint_file(&file("dataflow", computed)).is_empty());
     }
 
     #[test]
@@ -603,12 +517,6 @@ mod tests {
     fn assert_with_pragma_is_allowed() {
         let src = "assert!(cap > 0, \"capacity\"); // xtask-allow: no-panic: constructor contract\n";
         assert!(lint_file(&file("dataflow", src)).is_empty());
-    }
-
-    #[test]
-    fn panic_mention_in_comment_is_ignored() {
-        let src = "// a worker panic!(...) here would abort\nfn f() {}\n";
-        assert!(lint_file(&file("core", src)).is_empty());
     }
 
     // ---- float-determinism --------------------------------------------
