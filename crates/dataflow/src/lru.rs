@@ -53,13 +53,17 @@ impl<V> LruCache<V> {
     ///
     /// Panics if `capacity == 0`.
     #[expect(
+        clippy::panic,
+        reason = "constructor contract, unreachable from cluster paths: ClusterConfig validation rejects zero buffer capacities before a cache is built"
+    )]
+    #[expect(
         clippy::disallowed_types,
         reason = "keyed lookup only: eviction order lives in the recency list, never in map iteration"
     )]
     pub fn new(capacity: usize) -> Self {
-        // Constructor contract, unreachable from cluster paths: ClusterConfig
-        // validation rejects zero buffer capacities before a cache is built.
-        assert!(capacity > 0, "capacity must be positive"); // xtask-allow: no-panic
+        if capacity == 0 {
+            panic!("capacity must be positive");
+        }
         LruCache {
             slots: Vec::with_capacity(capacity.min(4096)),
             index: HashMap::new(),

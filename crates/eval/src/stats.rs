@@ -36,17 +36,23 @@ impl Summary {
             return None;
         }
         let n = xs.len();
-        let mean = xs.iter().sum::<f64>() / n as f64; // xtask-allow: float-determinism: sequential sum over a materialized Vec in index order
-        let var = if n > 1 {
-            xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64 // xtask-allow: float-determinism: sequential sum over a materialized Vec in index order
-        } else {
-            0.0
-        };
-        let (mut min, mut max) = (f64::INFINITY, f64::NEG_INFINITY);
+        // Sums in index order, from -0.0 as `Iterator::sum` starts.
+        let (mut total, mut min, mut max) = (-0.0, f64::INFINITY, f64::NEG_INFINITY);
         for &x in &xs {
+            total += x;
             min = min.min(x);
             max = max.max(x);
         }
+        let mean = total / n as f64;
+        let var = if n > 1 {
+            let mut squares = -0.0;
+            for &x in &xs {
+                squares += (x - mean).powi(2);
+            }
+            squares / (n - 1) as f64
+        } else {
+            0.0
+        };
         Some(Summary { n, mean, std: var.sqrt(), min, max })
     }
 

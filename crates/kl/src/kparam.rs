@@ -26,9 +26,17 @@ impl KParam {
     /// # Panics
     ///
     /// Panics if `num == 0` or `den == 0` (the objective requires `k > 0`).
+    #[expect(
+        clippy::panic,
+        reason = "cold constructor validation; the panic is the documented contract"
+    )]
     pub fn new(num: u64, den: u64) -> Self {
-        assert!(num > 0, "k must be positive (zero numerator)"); // xtask-allow: no-panic: cold constructor validation, documented panic contract
-        assert!(den > 0, "k denominator must be positive"); // xtask-allow: no-panic: cold constructor validation, documented panic contract
+        if num == 0 {
+            panic!("k must be positive (zero numerator)");
+        }
+        if den == 0 {
+            panic!("k denominator must be positive");
+        }
         let g = gcd(num, den);
         KParam { num: num / g, den: den / g }
     }
@@ -39,9 +47,17 @@ impl KParam {
     /// # Panics
     ///
     /// Panics if `k` is not finite and positive, or `den == 0`.
+    #[expect(
+        clippy::panic,
+        reason = "cold constructor validation; the panic is the documented contract"
+    )]
     pub fn approximate(k: f64, den: u64) -> Self {
-        assert!(k.is_finite() && k > 0.0, "k must be finite and positive, got {k}"); // xtask-allow: no-panic: cold constructor validation, documented panic contract
-        assert!(den > 0, "denominator resolution must be positive"); // xtask-allow: no-panic: cold constructor validation, documented panic contract
+        if !(k.is_finite() && k > 0.0) {
+            panic!("k must be finite and positive, got {k}");
+        }
+        if den == 0 {
+            panic!("denominator resolution must be positive");
+        }
         #[expect(
             clippy::as_conversions,
             reason = "the f64→u64 rounding IS the approximation; k is finite-positive and den ≤ 2^53 converts exactly"
@@ -99,10 +115,20 @@ impl KParam {
     ///
     /// Panics if `k_min`, `k_max`, or `factor` are non-positive,
     /// `k_min > k_max`, or `factor <= 1`.
+    #[expect(
+        clippy::panic,
+        reason = "cold sweep-configuration validation; the panic is the documented contract"
+    )]
     pub fn geometric_sequence(k_min: f64, k_max: f64, factor: f64, den: u64) -> Vec<KParam> {
-        assert!(k_min > 0.0 && k_max > 0.0, "k bounds must be positive"); // xtask-allow: no-panic: cold sweep-configuration validation, documented panic contract
-        assert!(k_min <= k_max, "k_min {k_min} exceeds k_max {k_max}"); // xtask-allow: no-panic: cold sweep-configuration validation, documented panic contract
-        assert!(factor > 1.0, "geometric factor must exceed 1"); // xtask-allow: no-panic: cold sweep-configuration validation, documented panic contract
+        if !(k_min > 0.0 && k_max > 0.0) {
+            panic!("k bounds must be positive");
+        }
+        if k_min > k_max {
+            panic!("k_min {k_min} exceeds k_max {k_max}");
+        }
+        if factor.is_nan() || factor <= 1.0 {
+            panic!("geometric factor must exceed 1");
+        }
         let mut out: Vec<KParam> = Vec::new();
         let mut k = k_min;
         loop {

@@ -3,9 +3,10 @@
 //! Floating-point addition is not associative: `(a + b) + c` and
 //! `a + (b + c)` can differ in the last ulp, so any reduction whose
 //! accumulation order is unspecified (`Iterator::sum`, a parallel tree
-//! reduce) is a silent determinism hazard. The `float-determinism` lint
-//! (`cargo xtask check`) bans such reductions in the kernel crates;
-//! this module is the sanctioned escape hatch. [`ordered_sum`] commits
+//! reduce) is a silent determinism hazard. `cargo xtask check` bans
+//! float `.sum()`/`.product()`/`.fold(<float>, ..)` in the runtime paths
+//! of the float-bearing crates; this file is exempt by path, as the
+//! sanctioned escape hatch. [`ordered_sum`] commits
 //! to one explicit order — a single left-to-right fold over the iterator
 //! as given — so the result is a pure function of the element
 //! *sequence*, never of scheduling. Callers remain responsible for
@@ -14,11 +15,11 @@
 
 /// Left-to-right sequential sum. Same value as `iter.sum::<f64>()` on
 /// every platform, but the ordering contract is explicit at the call
-/// site, which is what the `float-determinism` lint asks for.
+/// site, which is what the float-reduction check asks for.
 pub fn ordered_sum<I: IntoIterator<Item = f64>>(values: I) -> f64 {
     // The one blessed order-silent reduction: this fold IS the ordering
     // contract the rest of the workspace points at.
-    values.into_iter().fold(0.0, |acc, x| acc + x) // xtask-allow: float-determinism: left-to-right fold is the ordering contract itself
+    values.into_iter().fold(0.0, |acc, x| acc + x)
 }
 
 #[cfg(test)]

@@ -316,7 +316,10 @@ fn soak(seeds: u64, json_path: Option<&str>) -> Result<String, String> {
 /// bit-flip mangles and any byte ceiling armed), resume from the newest
 /// *valid* generation, and demand byte-identity with the uninterrupted
 /// leg. Returns `"ok"` or a `skipped:` tag for degenerate fixtures.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one leg's full context; bundling it into a struct would only move the list"
+)]
 fn resume_leg(
     ctx: &str,
     sim: &SimOutput,

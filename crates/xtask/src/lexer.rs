@@ -61,8 +61,8 @@ pub enum TokenKind {
 }
 
 impl TokenKind {
-    /// Whether rules should see this token (comments and whitespace are
-    /// layout, not code — but pragmas are read from comment tokens).
+    /// Whether the checks should see this token (comments and whitespace
+    /// are layout, not code).
     pub fn is_significant(self) -> bool {
         !matches!(self, TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment)
     }

@@ -1,39 +1,36 @@
-//! The token-level lint pass behind `cargo xtask check`.
+//! The residual source checks behind `cargo xtask check`.
 //!
-//! Twelve rules, all enforcing the determinism-and-robustness contract
-//! the reproduction depends on (DESIGN.md §8 and §12). The first six
-//! date from PR 2 and are re-expressed here over a real token stream
-//! ([`crate::lexer`]); the rest exist *because* of the token stream
-//! — they are not expressible at line granularity:
+//! Every other rule of the determinism-and-robustness contract is a rustc
+//! or clippy lint level: `[workspace.lints]`, crate- and module-root
+//! attributes, and `clippy.toml` (DESIGN.md §12). These three have no
+//! clippy equivalent, so they run here over the token stream of
+//! [`crate::lexer`] (strings and comments are never code). They take no
+//! suppression: fix the code instead.
 //!
-//! 1. **no-unwrap** — in library crates, an `.expect("<invariant>")`
-//!    message must be long enough to actually state the invariant
-//!    (`.unwrap()` itself is denied by `clippy::unwrap_used`).
-//! 5. **no-panic** — the [`NO_ASSERT_CRATES`] ban `assert!` in runtime
-//!    paths (the `/src/` trees outside `#[cfg(test)]` modules and the
-//!    dedicated invariants modules; `debug_assert!` stays allowed): their
-//!    contract is *degrade, don't abort*. (`panic!`, `todo!`,
-//!    `unimplemented!` and `unreachable!` are denied by clippy.)
-//! 7. **float-determinism** — in the float-bearing kernels
-//!    ([`FLOAT_CRATES`]): no float `.sum()`/`.product()`/`.fold(0.0, ..)`
-//!    reductions except through an explicitly order-asserting helper or
-//!    pragma (accumulation order changes the result in floating point).
-//! 12. **dead-pragma** — an `xtask-allow` pragma that no longer
-//!     suppresses any diagnostic is itself an error, as is one naming an
-//!     unknown rule. Suppressions cannot rot: delete the pragma when the
-//!     code it excused goes away.
+//! 1. **weak-expect** — in the [`LIBRARY_CRATES`], an
+//!    `.expect("<message>")` must state the invariant that makes it
+//!    infallible, in at least [`MIN_EXPECT_MESSAGE`] characters.
+//! 2. **float-reduction** — in the runtime paths of the [`FLOAT_CRATES`],
+//!    no float `.sum()`/`.product()`/`.fold(<float literal>, ..)`: the
+//!    result depends on accumulation order. [`ORDERED_SUM_MODULE`], home
+//!    of the sanctioned `ordered_sum`, is exempt by path. A `clippy.toml`
+//!    ban on `Iterator::sum` would be workspace-wide and type-blind.
+//! 3. **runtime-assert** — in the runtime paths of the
+//!    [`NO_ASSERT_CRATES`], no `assert!`: they degrade through typed
+//!    errors, and a release-mode abort inside a worker takes a whole sweep
+//!    down. `debug_assert!` stays allowed, which `disallowed-macros`
+//!    cannot express: banning `std::assert` bans `debug_assert!` too.
 //!
-//! A diagnostic is opted out of with a pragma in a comment **on the same
-//! line**: `// xtask-allow: <rule>` or
-//! `// xtask-allow: <rule>: <reason>`. The reason is recommended.
+//! A runtime path is a file under a crate's `src/`, up to its first
+//! `#[cfg(test)] mod`; check 3 also skips `*invariants*` modules, whose
+//! job is aborting on corrupted state.
 
 use crate::lexer::{lex, Token, TokenKind};
 use std::fmt;
 
-/// Crates (by directory name under `crates/`) subject to **no-unwrap**.
-/// The binary crates (`rejecto` itself, `bench`'s experiment bins) may
-/// still unwrap at the top level where a panic is an acceptable exit.
-pub const NO_UNWRAP_CRATES: &[&str] = &[
+/// The library crates (directory names under `crates/`). The binaries
+/// (`rejecto` itself, `bench`, `xtask`) may exit through a panic.
+pub const LIBRARY_CRATES: &[&str] = &[
     "socialgraph",
     "kl",
     "rejection",
@@ -45,49 +42,33 @@ pub const NO_UNWRAP_CRATES: &[&str] = &[
     "obs",
 ];
 
-/// Crates whose runtime paths may not use `assert!` at all (**no-panic**):
-/// `dataflow` because the distributed runtime must degrade through the
-/// `ClusterError` / `RuntimeError` taxonomy, never abort; `kl` because the
-/// KL/FM kernel sits inside every worker and a release-mode abort there
-/// takes a whole sweep down with it. `debug_assert!` is exempt, and the
-/// `debug-invariants` feature plus the invariants modules carry the
-/// release-strength checks. Cold constructor validation may pragma out
-/// with a stated reason.
-pub const NO_ASSERT_CRATES: &[&str] = &["dataflow", "kl"];
-
-/// Crates whose runtime paths are subject to **float-determinism**: the
-/// detection kernels and every ranking baseline whose scores get compared
-/// across detectors (`sybilrank`, `votetrust`, `eval`), plus `dataflow`,
-/// whose distributed sweep must stay byte-identical to `core`'s local one.
+/// The detection kernels, every ranking baseline whose scores are compared
+/// across detectors, and `dataflow`, whose distributed sweep must stay
+/// byte-identical to `core`'s local one.
 pub const FLOAT_CRATES: &[&str] =
     &["socialgraph", "kl", "core", "sybilrank", "votetrust", "dataflow", "eval"];
 
-/// Every rule name `xtask-allow:` accepts. `dead-pragma` is listed (so a
-/// pragma naming it parses) but is itself never suppressible.
-pub const RULES: &[&str] = &[
-    "no-unwrap",
-    "no-panic",
-    "float-determinism",
-    "dead-pragma",
-];
+/// `dataflow` must degrade through its `ClusterError`/`RuntimeError`
+/// taxonomy; `kl` runs inside every sweep worker.
+pub const NO_ASSERT_CRATES: &[&str] = &["dataflow", "kl"];
 
-/// Minimum `.expect("...")` message length that can plausibly state an
-/// invariant ("fixture parses", "sweep is non-empty", ...).
+/// The one module allowed an order-silent float fold: it *is* the ordering
+/// contract the rest of the workspace calls.
+pub const ORDERED_SUM_MODULE: &str = "crates/socialgraph/src/det.rs";
+
+/// Shortest `.expect` message that can plausibly state an invariant
+/// ("sweep is non-empty", "fixture parses", ...).
 pub const MIN_EXPECT_MESSAGE: usize = 8;
 
-/// One lint finding.
+/// One finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Violation {
     /// Repo-relative path.
     pub file: String,
     /// 1-based line.
     pub line: usize,
-    /// Rule name, as accepted by `xtask-allow:`.
     pub rule: &'static str,
-    /// Human-readable explanation.
     pub message: String,
-    /// The offending source line, trimmed (for `--json` CI annotation).
-    pub snippet: String,
 }
 
 impl fmt::Display for Violation {
@@ -96,167 +77,57 @@ impl fmt::Display for Violation {
     }
 }
 
-/// A source file plus the workspace context the rules key on.
-#[derive(Debug, Clone, Copy)]
-pub struct SourceFile<'a> {
-    /// Repo-relative path, e.g. `crates/kl/src/bucket.rs`.
-    pub rel_path: &'a str,
-    /// Directory name under `crates/`, or `"rejecto"` for the root package.
-    pub crate_name: &'a str,
-    /// File contents.
-    pub text: &'a str,
-}
+/// The significant tokens of one file (no comments, no whitespace).
+struct Stream<'a>(Vec<Token<'a>>);
 
-/// One `xtask-allow` pragma, parsed out of a comment token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Pragma {
-    /// 1-based line the pragma sits on (and therefore suppresses).
-    line: usize,
-    rule: String,
-}
-
-/// Parses every pragma out of the token stream's comments. A pragma is
-/// `xtask-allow: <rule>` with an optional `: <reason>` tail; the rule
-/// name is the leading run of `[a-z-]` characters after the marker.
-/// Doc comments (`///`, `//!`, `/**`, `/*!`) are excluded: they
-/// *describe* pragmas (this file does, extensively) but cannot declare
-/// them — a directive belongs in a plain comment.
-fn collect_pragmas(tokens: &[Token<'_>]) -> Vec<Pragma> {
-    let mut out = Vec::new();
-    for t in tokens {
-        if !matches!(t.kind, TokenKind::LineComment | TokenKind::BlockComment) {
-            continue;
-        }
-        let is_doc = t.text.starts_with("///")
-            || t.text.starts_with("//!")
-            || t.text.starts_with("/**")
-            || t.text.starts_with("/*!");
-        if is_doc && !t.text.starts_with("/**/") {
-            continue;
-        }
-        let mut search = 0;
-        while let Some(pos) = t.text[search..].find("xtask-allow:") {
-            let at = search + pos;
-            let line = t.line + t.text[..at].matches('\n').count();
-            let rest = t.text[at + "xtask-allow:".len()..].trim_start();
-            let name_len = rest
-                .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
-                .unwrap_or(rest.len());
-            let rule = rest[..name_len].to_string();
-            out.push(Pragma { line, rule });
-            search = at + "xtask-allow:".len();
-        }
-    }
-    out
-}
-
-/// The rule engine for one file: the significant-token stream, the
-/// pragma table, and the violations accumulated so far.
-struct Engine<'a> {
-    f: &'a SourceFile<'a>,
-    raw_lines: Vec<&'a str>,
-    sig: Vec<Token<'a>>,
-    pragmas: Vec<Pragma>,
-    pragma_used: Vec<bool>,
-    out: Vec<Violation>,
-}
-
-impl<'a> Engine<'a> {
-    /// Records a violation at `line` unless a same-line pragma for `rule`
-    /// suppresses it (marking the pragma live either way it matches).
-    fn emit(&mut self, rule: &'static str, line: usize, message: String) {
-        for (i, p) in self.pragmas.iter().enumerate() {
-            if p.line == line && p.rule == rule {
-                self.pragma_used[i] = true;
-                return;
-            }
-        }
-        self.out.push(Violation {
-            file: self.f.rel_path.to_string(),
-            line,
-            rule,
-            message,
-            snippet: self.raw_lines.get(line.saturating_sub(1)).unwrap_or(&"").trim().to_string(),
-        });
-    }
-
-    // --- token-pattern helpers over the significant stream -------------
-
+impl Stream<'_> {
     fn ident(&self, i: usize) -> Option<&str> {
-        match self.sig.get(i) {
-            Some(t) if t.kind == TokenKind::Ident => Some(t.text),
-            _ => None,
-        }
+        self.0.get(i).filter(|t| t.kind == TokenKind::Ident).map(|t| t.text)
     }
 
-    fn is_ident(&self, i: usize, name: &str) -> bool {
-        self.ident(i) == Some(name)
+    fn punct(&self, i: usize, ch: &str) -> bool {
+        matches!(self.0.get(i), Some(t) if t.kind == TokenKind::Punct && t.text == ch)
     }
 
-    fn is_punct(&self, i: usize, ch: &str) -> bool {
-        matches!(self.sig.get(i), Some(t) if t.kind == TokenKind::Punct && t.text == ch)
-    }
-
-    fn line_of(&self, i: usize) -> usize {
-        self.sig.get(i).map_or(1, |t| t.line)
-    }
-
-    /// The literal content of a string token at `i` (prefix, quotes, and
-    /// raw-string hashes stripped), or `None` if `i` is not a string.
+    /// The contents of a string literal at `i` (prefix, quotes and raw
+    /// hashes stripped), or `None` if `i` is not a string literal.
     fn string_content(&self, i: usize) -> Option<&str> {
-        let t = self.sig.get(i)?;
-        match t.kind {
-            TokenKind::Str => {
-                let body = t.text.trim_start_matches(['b', 'c']);
-                let inner = body.strip_prefix('"')?;
-                Some(inner.strip_suffix('"').unwrap_or(inner))
-            }
-            TokenKind::RawStr => {
-                let body = t.text.trim_start_matches(['b', 'c', 'r']);
-                let hashes = body.chars().take_while(|&c| c == '#').count();
-                let inner = body[hashes..].strip_prefix('"')?;
-                // Closer is `"` + the same number of hashes (absent when
-                // the literal is unterminated).
-                let closer: String = std::iter::once('"').chain("#".repeat(hashes).chars()).collect();
-                Some(inner.strip_suffix(closer.as_str()).unwrap_or(inner))
-            }
-            _ => None,
-        }
+        let t = self.0.get(i)?;
+        let body = match t.kind {
+            TokenKind::Str => t.text.trim_start_matches(['b', 'c']),
+            TokenKind::RawStr => t.text.trim_start_matches(['b', 'c', 'r']).trim_matches('#'),
+            _ => return None,
+        };
+        let inner = body.strip_prefix('"')?;
+        Some(inner.strip_suffix('"').unwrap_or(inner))
     }
 
-    /// 1-based line of the first `#[cfg(test)]` *module* (the attribute
-    /// followed by a `mod` item), after which the runtime-path rules
-    /// stop: tests panic, cast, and approximate on purpose. A
-    /// `#[cfg(test)]` on a lone helper does not end the scan.
+    /// Line of the first `#[cfg(test)]` attribute that introduces a `mod`
+    /// (a `#[cfg(test)]` on a lone helper does not end the runtime path).
     fn test_module_start(&self) -> usize {
-        for i in 0..self.sig.len() {
-            if self.is_punct(i, "#")
-                && self.is_punct(i + 1, "[")
-                && self.is_ident(i + 2, "cfg")
-                && self.is_punct(i + 3, "(")
-                && self.is_ident(i + 4, "test")
-                && self.is_punct(i + 5, ")")
-                && self.is_punct(i + 6, "]")
-                && (self.is_ident(i + 7, "mod")
-                    || (self.is_ident(i + 7, "pub") && self.is_ident(i + 8, "mod")))
-            {
-                return self.line_of(i);
-            }
-        }
-        usize::MAX
+        (0..self.0.len())
+            .find(|&i| {
+                ["#", "[", "cfg", "(", "test", ")", "]"].iter().enumerate().all(|(k, want)| {
+                    self.punct(i + k, want) || self.ident(i + k) == Some(*want)
+                }) && (self.ident(i + 7) == Some("mod")
+                    || (self.ident(i + 7) == Some("pub") && self.ident(i + 8) == Some("mod")))
+            })
+            .map_or(usize::MAX, |i| self.0[i].line)
     }
 
-    /// Whether any token of the same statement as `i` (scanning backwards
-    /// to the nearest `;` / `{` / `}`) names a float primitive — the
-    /// evidence that a `.sum()` without a turbofish reduces floats.
-    fn statement_mentions_float(&self, i: usize) -> bool {
-        let mut j = i;
-        while j > 0 {
-            j -= 1;
-            let t = &self.sig[j];
-            match t.kind {
-                TokenKind::Punct if matches!(t.text, ";" | "{" | "}") => return false,
-                TokenKind::Ident if matches!(t.text, "f32" | "f64") => return true,
+    /// Whether `.sum`/`.product` at `i` reduces floats: an `f32`/`f64`
+    /// turbofish, or no turbofish and a float type named earlier in the
+    /// same statement (`let s: f64 = xs.iter().sum();`).
+    fn reduces_floats(&self, i: usize) -> bool {
+        if self.punct(i + 2, ":") {
+            return self.punct(i + 3, ":")
+                && self.punct(i + 4, "<")
+                && matches!(self.ident(i + 5), Some("f32" | "f64"));
+        }
+        for t in self.0[..i].iter().rev() {
+            match (t.kind, t.text) {
+                (TokenKind::Punct, ";" | "{" | "}") => return false,
+                (TokenKind::Ident, "f32" | "f64") => return true,
                 _ => {}
             }
         }
@@ -264,374 +135,143 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Runs every applicable rule over one file.
-pub fn lint_file(f: &SourceFile) -> Vec<Violation> {
-    let tokens = lex(f.text);
-    let pragmas = collect_pragmas(&tokens);
-    let pragma_used = vec![false; pragmas.len()];
-    let sig: Vec<Token<'_>> = tokens.into_iter().filter(|t| t.kind.is_significant()).collect();
-    let mut e = Engine {
-        f,
-        raw_lines: f.text.lines().collect(),
-        sig,
-        pragmas,
-        pragma_used,
-        out: Vec::new(),
+/// Runs the three residual checks over one file at repo-relative
+/// `rel_path`.
+pub fn lint_file(rel_path: &str, text: &str) -> Vec<Violation> {
+    let crate_name =
+        rel_path.strip_prefix("crates/").and_then(|p| p.split('/').next()).unwrap_or_default();
+    let in_src = rel_path.contains("/src/");
+    let expects_checked = LIBRARY_CRATES.contains(&crate_name);
+    let floats_checked =
+        in_src && FLOAT_CRATES.contains(&crate_name) && rel_path != ORDERED_SUM_MODULE;
+    let asserts_checked =
+        in_src && NO_ASSERT_CRATES.contains(&crate_name) && !rel_path.contains("invariants");
+
+    let s = Stream(lex(text).into_iter().filter(|t| t.kind.is_significant()).collect());
+    let test_start = s.test_module_start();
+    let mut out = Vec::new();
+    let mut emit = |line: usize, rule: &'static str, message: String| {
+        out.push(Violation { file: rel_path.to_string(), line, rule, message });
     };
+    for (i, t) in s.0.iter().enumerate() {
+        let runtime = t.line < test_start;
+        let method = if s.punct(i, ".") { s.ident(i + 1) } else { None };
 
-    let unwrap_banned = NO_UNWRAP_CRATES.contains(&f.crate_name);
-    // The runtime-path rules cover `/src/` trees only, minus the
-    // invariants modules (whose whole job is panicking on corrupted
-    // state) and everything from the first `#[cfg(test)] mod` down.
-    let in_src = f.rel_path.contains("/src/");
-    let panic_banned = unwrap_banned && in_src && !f.rel_path.contains("invariants");
-    let assert_banned = panic_banned && NO_ASSERT_CRATES.contains(&f.crate_name);
-    let float_banned = FLOAT_CRATES.contains(&f.crate_name) && in_src;
-    let runtime_rules = panic_banned
-        || assert_banned
-        || float_banned;
-    let test_start = if runtime_rules { e.test_module_start() } else { usize::MAX };
-
-    for i in 0..e.sig.len() {
-        let line = e.line_of(i);
-        let runtime = line < test_start;
-
-        // ---- no-unwrap ------------------------------------------------
-        if unwrap_banned && e.is_punct(i, ".") && e.is_ident(i + 1, "expect") && e.is_punct(i + 2, "(")
-        {
-            if let Some(msg) = e.string_content(i + 3) {
+        if expects_checked && method == Some("expect") && s.punct(i + 2, "(") {
+            if let Some(msg) = s.string_content(i + 3) {
                 if msg.len() < MIN_EXPECT_MESSAGE {
-                    e.emit(
-                        "no-unwrap",
-                        e.line_of(i + 1),
+                    emit(
+                        t.line,
+                        "weak-expect",
                         format!(
-                            "`.expect(\"{msg}\")` message too weak to state an \
-                             invariant (< {MIN_EXPECT_MESSAGE} chars)"
+                            "`.expect(\"{msg}\")` is too short to state an invariant \
+                             (< {MIN_EXPECT_MESSAGE} chars)"
                         ),
                     );
                 }
             }
         }
 
-        // ---- no-panic -------------------------------------------------
-        if assert_banned && runtime && e.is_ident(i, "assert") && e.is_punct(i + 1, "!") {
-            e.emit(
-                "no-panic",
-                line,
-                "`assert!` aborts release builds; this crate must degrade \
-                 through its structured error taxonomy (use `debug_assert!` \
-                 for invariants)"
+        let float_fold = method == Some("fold")
+            && s.punct(i + 2, "(")
+            && s.0.get(i + 3).is_some_and(|t| t.kind == TokenKind::Float);
+        let float_sum = matches!(method, Some("sum" | "product")) && s.reduces_floats(i);
+        if floats_checked && runtime && (float_fold || float_sum) {
+            emit(
+                t.line,
+                "float-reduction",
+                "float reduction whose result depends on accumulation order; use \
+                 `socialgraph::det::ordered_sum` or an explicit index-order loop"
                     .to_string(),
             );
         }
 
-        // ---- float-determinism ----------------------------------------
-        if float_banned && runtime {
-            if e.is_punct(i, ".") && matches!(e.ident(i + 1), Some("sum" | "product")) {
-                // `.sum::<f64>()` — explicit float turbofish — or a plain
-                // `.sum()` whose statement is float-annotated.
-                let float_turbofish = e.is_punct(i + 2, ":")
-                    && e.is_punct(i + 3, ":")
-                    && e.is_punct(i + 4, "<")
-                    && matches!(e.ident(i + 5), Some("f32" | "f64"));
-                let int_turbofish = e.is_punct(i + 2, ":") && !float_turbofish;
-                if float_turbofish || (!int_turbofish && e.statement_mentions_float(i)) {
-                    e.emit(
-                        "float-determinism",
-                        e.line_of(i + 1),
-                        "float reduction whose result depends on accumulation \
-                         order; route it through an order-asserting helper \
-                         (`socialgraph::det::ordered_sum`) or pragma the site \
-                         with the ordering argument"
-                            .to_string(),
-                    );
-                }
-            }
-            if e.is_punct(i, ".")
-                && e.is_ident(i + 1, "fold")
-                && e.is_punct(i + 2, "(")
-                && matches!(e.sig.get(i + 3), Some(t) if t.kind == TokenKind::Float)
-            {
-                e.emit(
-                    "float-determinism",
-                    e.line_of(i + 1),
-                    "float fold whose result depends on accumulation order; \
-                     route it through an order-asserting helper \
-                     (`socialgraph::det::ordered_sum`) or pragma the site"
-                        .to_string(),
-                );
-            }
-        }
-
-    }
-
-    // ---- dead-pragma ----------------------------------------------------
-    // Runs last: any pragma the rule passes above never consulted is rot.
-    for i in 0..e.pragmas.len() {
-        let p = e.pragmas[i].clone();
-        if !RULES.contains(&p.rule.as_str()) {
-            e.out.push(Violation {
-                file: f.rel_path.to_string(),
-                line: p.line,
-                rule: "dead-pragma",
-                message: format!(
-                    "pragma names unknown rule `{}` (known rules: {})",
-                    p.rule,
-                    RULES.join(", ")
-                ),
-                snippet: e.raw_lines.get(p.line.saturating_sub(1)).unwrap_or(&"").trim().to_string(),
-            });
-        } else if !e.pragma_used[i] {
-            e.out.push(Violation {
-                file: f.rel_path.to_string(),
-                line: p.line,
-                rule: "dead-pragma",
-                message: format!(
-                    "`xtask-allow: {}` suppresses no diagnostic on this line; \
-                     dead pragmas rot into false confidence — delete it",
-                    p.rule
-                ),
-                snippet: e.raw_lines.get(p.line.saturating_sub(1)).unwrap_or(&"").trim().to_string(),
-            });
+        if asserts_checked && runtime && s.ident(i) == Some("assert") && s.punct(i + 1, "!") {
+            emit(
+                t.line,
+                "runtime-assert",
+                "`assert!` aborts release builds; return a typed error, use \
+                 `debug_assert!`, or make a cold contract an explicit \
+                 `panic!` under `#[expect(clippy::panic, reason = ..)]`"
+                    .to_string(),
+            );
         }
     }
-
-    e.out.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(b.rule)));
-    e.out
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn file<'a>(crate_name: &'a str, text: &'a str) -> SourceFile<'a> {
-        SourceFile { rel_path: "crates/test/src/x.rs", crate_name, text }
-    }
-
-    fn rules(v: &[Violation]) -> Vec<&'static str> {
-        v.iter().map(|x| x.rule).collect()
-    }
-
-    // ---- no-unwrap ----------------------------------------------------
-
-    /// Doc comments describe pragmas without declaring them; a
-    /// `xtask-allow:` inside one is neither a suppression nor dead.
-    #[test]
-    fn pragma_in_doc_comment_is_inert() {
-        let src = "/// Suppress with `// xtask-allow: no-unwrap: reason`.\nfn f() {}\n";
-        assert!(lint_file(&file("rejection", src)).is_empty());
-        let src = "//! `xtask-allow: lossy-cast: ids < 2^32` states the invariant.\nfn f() {}\n";
-        assert!(lint_file(&file("kl", src)).is_empty());
+    fn rules(path: &str, src: &str) -> Vec<(usize, &'static str)> {
+        lint_file(path, src).into_iter().map(|v| (v.line, v.rule)).collect()
     }
 
     #[test]
-    fn weak_expect_message_is_flagged() {
-        let src = "let x = opt.expect(\"oops\");\n";
-        let v = lint_file(&file("rejection", src));
-        assert_eq!(rules(&v), ["no-unwrap"]);
-        assert!(v[0].message.contains("too weak"));
-    }
-
-    /// A call split across lines was invisible to the PR 2 line scanner
-    /// (false negative); the token stream does not care about newlines.
-    #[test]
-    fn weak_expect_message_across_lines_is_flagged() {
-        let src = "let x = opt.expect(\n    \"oops\",\n);\n";
-        let v = lint_file(&file("rejection", src));
-        assert_eq!(rules(&v), ["no-unwrap"]);
-        assert_eq!(v[0].line, 1, "violation lands on the `.expect` line");
+    fn weak_expect_message_fails() {
+        let src = "fn f() { let x = opt.expect(\"oops\"); }\n";
+        assert_eq!(rules("crates/rejection/src/io.rs", src), [(1, "weak-expect")]);
+        // Split across lines, the finding lands on the `.expect` line.
+        let split = "let x = opt\n    .expect(\n        \"oops\",\n    );\n";
+        assert_eq!(rules("crates/core/tests/store.rs", split), [(2, "weak-expect")]);
     }
 
     #[test]
     fn invariant_expect_message_passes() {
-        let src = "let x = opt.expect(\"sweep is non-empty\");\n";
-        assert!(lint_file(&file("rejection", src)).is_empty());
-    }
-
-    #[test]
-    fn computed_expect_message_passes() {
-        let src = "let x = opt.expect(&format!(\"no {u}\"));\n";
-        assert!(lint_file(&file("rejection", src)).is_empty());
-    }
-
-    // ---- no-panic -----------------------------------------------------
-
-    #[test]
-    fn cfg_test_on_a_lone_item_does_not_end_the_scan() {
-        let src = "#[cfg(test)]\nfn helper() {}\nfn f() { assert!(true); }\n";
-        let v = lint_file(&file("dataflow", src));
-        assert_eq!(rules(&v), ["no-panic"]);
-        assert_eq!(v[0].line, 3);
-    }
-
-    #[test]
-    fn invariants_modules_may_panic() {
-        let f = SourceFile {
-            rel_path: "crates/kl/src/invariants.rs",
-            crate_name: "kl",
-            text: "pub fn check() { assert!(false, \"corrupted bookkeeping\"); }\n",
-        };
-        assert!(lint_file(&f).is_empty());
-    }
-
-    #[test]
-    fn test_directories_may_panic() {
-        let f = SourceFile {
-            rel_path: "crates/dataflow/tests/prop.rs",
-            crate_name: "dataflow",
-            text: "fn f() { assert!(false, \"assertion\"); }\n",
-        };
-        assert!(lint_file(&f).is_empty());
-    }
-
-    #[test]
-    fn assert_in_no_assert_crates_is_flagged() {
-        let src = "fn f(n: usize) { assert!(n > 0, \"n must be positive\"); }\n";
-        for krate in ["dataflow", "kl"] {
-            let v = lint_file(&file(krate, src));
-            assert_eq!(rules(&v), ["no-panic"], "{krate}");
-            assert!(v[0].message.contains("degrade"));
+        for src in [
+            "let x = opt.expect(\"scenario admits a cut\");\n",
+            "let x = opt.expect(&format!(\"no {u}\"));\n",
+            "// a comment may say .expect(\"oops\")\nlet s = \".expect(\\\"oops\\\")\";\n",
+        ] {
+            assert!(lint_file("crates/rejection/src/io.rs", src).is_empty(), "{src:?}");
         }
+        // Binaries may exit through a short expect.
+        let src = "let x = opt.expect(\"oops\");\n";
+        assert!(lint_file("crates/bench/src/bin/x.rs", src).is_empty());
     }
 
     #[test]
-    fn debug_assert_in_no_assert_crate_passes() {
-        let src = "fn f(n: usize) { debug_assert!(n > 0); }\n";
-        assert!(lint_file(&file("dataflow", src)).is_empty());
-        assert!(lint_file(&file("kl", src)).is_empty());
+    fn float_reduction_in_runtime_path_fails() {
+        let src = "fn f(xs: &[f64]) -> f64 {\n    let a = xs.iter().sum::<f64>();\n    \
+                   let b: f64 = xs.iter().product();\n    a + xs.iter().fold(0.0, |s, x| s + x)\n}\n";
+        assert_eq!(
+            rules("crates/core/src/maar.rs", src),
+            [(2, "float-reduction"), (3, "float-reduction"), (4, "float-reduction")]
+        );
     }
 
     #[test]
-    fn assert_eq_is_not_bare_assert() {
-        let src = "fn f(n: usize) { assert_eq!(n, 1); assert_ne!(n, 2); }\n";
-        assert!(lint_file(&file("dataflow", src)).is_empty());
+    fn float_reduction_passes_in_det_rs_tests_and_integer_code() {
+        let fold = "pub fn ordered_sum(v: &[f64]) -> f64 { v.iter().fold(0.0, |a, x| a + x) }\n";
+        assert!(lint_file(ORDERED_SUM_MODULE, fold).is_empty());
+        assert_eq!(rules("crates/socialgraph/src/graph.rs", fold), [(1, "float-reduction")]);
+
+        let below_tests = "fn f() {}\n#[cfg(test)]\nmod tests {\n    \
+                           fn g(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }\n}\n";
+        assert!(lint_file("crates/core/src/maar.rs", below_tests).is_empty());
+        let lone_helper = "#[cfg(test)]\nfn h() {}\nfn g(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }\n";
+        assert_eq!(rules("crates/core/src/maar.rs", lone_helper), [(3, "float-reduction")]);
+
+        let ints = "fn f(xs: &[u64], y: f64) -> u64 { let _ = y; xs.iter().sum::<u64>() }\n\
+                    fn g(xs: &[u64]) -> u64 { xs.iter().fold(0, |a, b| a + b) }\n";
+        assert!(lint_file("crates/core/src/maar.rs", ints).is_empty());
     }
 
     #[test]
-    fn assert_outside_no_assert_crates_passes() {
-        let src = "fn f(n: usize) { assert!(n > 0, \"n must be positive\"); }\n";
-        assert!(lint_file(&file("core", src)).is_empty());
+    fn assert_next_to_debug_assert_fails_in_kl_runtime() {
+        let src = "fn f(n: usize) {\n    debug_assert!(n > 1);\n    assert!(n > 0, \"n must be positive\");\n}\n";
+        assert_eq!(rules("crates/kl/src/bucket.rs", src), [(3, "runtime-assert")]);
     }
 
     #[test]
-    fn assert_with_pragma_is_allowed() {
-        let src = "assert!(cap > 0, \"capacity\"); // xtask-allow: no-panic: constructor contract\n";
-        assert!(lint_file(&file("dataflow", src)).is_empty());
-    }
-
-    // ---- float-determinism --------------------------------------------
-
-    #[test]
-    fn float_sum_turbofish_is_flagged() {
-        let src = "fn f(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }\n";
-        let v = lint_file(&file("sybilrank", src));
-        assert_eq!(rules(&v), ["float-determinism"]);
-    }
-
-    #[test]
-    fn float_sum_via_let_annotation_is_flagged() {
-        let src = "fn f(xs: &[f64]) { let s: f64 = xs.iter().sum(); }\n";
-        let v = lint_file(&file("sybilrank", src));
-        assert_eq!(rules(&v), ["float-determinism"]);
-    }
-
-    #[test]
-    fn integer_sum_passes() {
-        let src = "fn f(xs: &[usize]) -> usize { let n: usize = xs.iter().sum(); n }\n";
-        assert!(lint_file(&file("sybilrank", src)).is_empty());
-    }
-
-    #[test]
-    fn integer_turbofish_sum_passes_even_near_floats() {
-        let src = "fn f(xs: &[u64], y: f64) -> u64 { let _ = y; xs.iter().sum::<u64>() }\n";
-        assert!(lint_file(&file("sybilrank", src)).is_empty());
-    }
-
-    #[test]
-    fn float_fold_is_flagged() {
-        let src = "fn f(xs: &[f64]) -> f64 { xs.iter().fold(0.0, |a, b| a + b) }\n";
-        let v = lint_file(&file("socialgraph", src));
-        assert_eq!(rules(&v), ["float-determinism"]);
-    }
-
-    #[test]
-    fn integer_fold_passes() {
-        let src = "fn f(xs: &[u64]) -> u64 { xs.iter().fold(0, |a, b| a + b) }\n";
-        assert!(lint_file(&file("socialgraph", src)).is_empty());
-    }
-
-    #[test]
-    fn float_rules_skip_test_modules() {
-        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }\n}\n";
-        assert!(lint_file(&file("core", src)).is_empty());
-    }
-
-    #[test]
-    fn float_sum_with_pragma_is_allowed() {
-        let src = "fn f(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() } // xtask-allow: float-determinism: slice order is fixed\n";
-        assert!(lint_file(&file("sybilrank", src)).is_empty());
-    }
-
-    // ---- dead-pragma --------------------------------------------------
-
-    #[test]
-    fn dead_pragma_is_flagged() {
-        let src = "fn f() { let x = 1; } // xtask-allow: no-unwrap\n";
-        let v = lint_file(&file("rejection", src));
-        assert_eq!(rules(&v), ["dead-pragma"]);
-        assert!(v[0].message.contains("suppresses no diagnostic"));
-    }
-
-    #[test]
-    fn live_pragma_is_not_dead() {
-        let src = "let x = opt.expect(\"x\"); // xtask-allow: no-unwrap: static fixture\n";
-        assert!(lint_file(&file("rejection", src)).is_empty());
-    }
-
-    #[test]
-    fn pragma_for_unknown_rule_is_flagged() {
-        let src = "fn f() {} // xtask-allow: no-such-rule\n";
-        let v = lint_file(&file("rejection", src));
-        assert_eq!(rules(&v), ["dead-pragma"]);
-        assert!(v[0].message.contains("unknown rule"));
-    }
-
-    #[test]
-    fn pragma_on_the_wrong_line_is_dead_and_does_not_suppress() {
-        let src = "// xtask-allow: no-unwrap\nlet x = opt.expect(\"x\");\n";
-        let v = lint_file(&file("rejection", src));
-        assert_eq!(rules(&v), ["dead-pragma", "no-unwrap"]);
-    }
-
-    #[test]
-    fn pragma_inside_string_literal_is_not_a_pragma() {
-        let src = "let s = \"// xtask-allow: no-unwrap\";\n";
-        assert!(lint_file(&file("rejection", src)).is_empty());
-    }
-
-    #[test]
-    fn pragma_in_rule_exempt_region_is_dead() {
-        // A no-panic pragma inside a test module: the rule never runs
-        // there, so the pragma suppresses nothing and must go.
-        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n    fn g() { panic!(\"t\"); } // xtask-allow: no-panic\n}\n";
-        let v = lint_file(&file("core", src));
-        assert_eq!(rules(&v), ["dead-pragma"]);
-    }
-
-    // ---- engine plumbing ----------------------------------------------
-
-    #[test]
-    fn violations_are_sorted_by_line() {
-        let src = "fn a() { x.expect(\"a\"); }\nfn b() { y.expect(\"b\"); }\n";
-        let v = lint_file(&file("rejection", src));
-        assert_eq!(v.len(), 2);
-        assert!(v[0].line < v[1].line);
-    }
-
-    #[test]
-    fn pragma_line_inside_block_comment_is_the_marker_line() {
-        let toks = lex("/* spanning\n   xtask-allow: no-panic: here\n*/\n");
-        let ps = collect_pragmas(&toks);
-        assert_eq!(ps[0].line, 2);
+    fn debug_assert_and_assert_outside_the_runtime_path_pass() {
+        let src = "fn f(n: usize) { debug_assert!(n > 0); assert_eq!(n, 1); }\n\
+                   #[cfg(test)]\nmod tests {\n    fn t() { assert!(true); }\n}\n";
+        assert!(lint_file("crates/dataflow/src/lru.rs", src).is_empty());
+        let src = "fn f(n: usize) { assert!(n > 0); }\n";
+        for path in ["crates/kl/src/invariants.rs", "crates/kl/tests/prop.rs", "crates/core/src/maar.rs"] {
+            assert!(lint_file(path, src).is_empty(), "{path}");
+        }
     }
 }

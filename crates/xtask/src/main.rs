@@ -3,14 +3,10 @@
 //!
 //! Commands:
 //!
-//! * `check` — run the token-level static-analysis pass ([`lint`], built
-//!   on the hand-rolled lexer in [`lexer`]) over the workspace sources.
-//! * `check --json` — emit the diagnostics as a JSON array on stdout
-//!   (`{"file", "line", "rule", "message", "snippet"}` objects) for CI
-//!   annotation; the human summary moves to stderr.
-//! * `check --fix-dry-run` — additionally list mechanically fixable
-//!   sites ([`fix`]), e.g. `partial_cmp(..).expect(..)` → `total_cmp`,
-//!   without editing anything.
+//! * `check` — the three source checks clippy cannot express ([`lint`],
+//!   built on the hand-rolled lexer in [`lexer`]); every other rule is a
+//!   lint level enforced by `cargo clippy --workspace --all-targets --
+//!   -D warnings` (DESIGN.md §12).
 //! * `check --determinism` — additionally run the in-process determinism
 //!   harness ([`determinism`]): simulate → detect twice from one seed,
 //!   diff byte-for-byte.
@@ -22,23 +18,18 @@
 //!
 //! Exit code 0 means clean; 1 means violations (each printed as
 //! `file:line: [rule] message`) or a determinism failure; 2 means usage
-//! error. `--fix-dry-run` findings are informational and never affect
-//! the exit code.
+//! error.
 
 mod chaos;
 mod determinism;
-mod fix;
 mod lexer;
 mod lint;
 
-#[cfg(test)]
-mod fixtures_test;
-
-use lint::{SourceFile, Violation};
+use lint::Violation;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: cargo xtask check [--determinism] [--json] [--fix-dry-run]\n\
+const USAGE: &str = "usage: cargo xtask check [--determinism]\n\
                      \x20      cargo xtask chaos [--seeds N] [--json <path>]";
 
 fn main() -> ExitCode {
@@ -47,20 +38,16 @@ fn main() -> ExitCode {
     match it.next() {
         Some("check") => {
             let mut with_determinism = false;
-            let mut json = false;
-            let mut fix_dry_run = false;
             for flag in it {
                 match flag {
                     "--determinism" => with_determinism = true,
-                    "--json" => json = true,
-                    "--fix-dry-run" => fix_dry_run = true,
                     other => {
                         eprintln!("unknown flag {other:?}; {USAGE}");
                         return ExitCode::from(2);
                     }
                 }
             }
-            check(with_determinism, json, fix_dry_run)
+            check(with_determinism)
         }
         Some("chaos") => {
             let mut seeds: u64 = 16;
@@ -110,50 +97,25 @@ fn main() -> ExitCode {
     }
 }
 
-fn check(with_determinism: bool, json: bool, fix_dry_run: bool) -> ExitCode {
-    let root = repo_root();
-    let mut failed = false;
-
-    let sources = read_sources(&root);
+fn check(with_determinism: bool) -> ExitCode {
+    let sources = read_sources(&repo_root());
     let violations = run_lints(&sources);
-    let fixable: Vec<fix::FixCandidate> = if fix_dry_run {
-        sources.iter().flat_map(|(rel, _, text)| fix::scan_file(rel, text)).collect()
-    } else {
-        Vec::new()
-    };
-
-    if json {
-        println!("{}", render_json(&violations, fix_dry_run.then_some(&fixable)));
-    } else {
-        for v in &violations {
-            println!("{v}");
-        }
+    for v in &violations {
+        println!("{v}");
     }
-    let summary_line = format!(
+    println!(
         "lint: {} — {} files scanned, {} violation(s)",
         if violations.is_empty() { "OK" } else { "FAILED" },
         sources.len(),
         violations.len()
     );
-    if json {
-        eprintln!("{summary_line}");
-    } else {
-        println!("{summary_line}");
-    }
-    failed |= !violations.is_empty();
-
-    if fix_dry_run && !json {
-        for c in &fixable {
-            println!("{}:{}: {} → {}", c.file, c.line, c.found, c.suggestion);
-        }
-        println!("fix-dry-run: {} mechanically fixable site(s); nothing edited", fixable.len());
-    }
+    let mut failed = !violations.is_empty();
 
     if with_determinism {
         match determinism::run() {
-            Ok(summary) => eprintln_or_println(json, &summary),
+            Ok(summary) => println!("{summary}"),
             Err(why) => {
-                eprintln_or_println(json, &format!("determinism: FAILED — {why}"));
+                println!("determinism: FAILED — {why}");
                 failed = true;
             }
         }
@@ -166,82 +128,6 @@ fn check(with_determinism: bool, json: bool, fix_dry_run: bool) -> ExitCode {
     }
 }
 
-/// In `--json` mode everything except the JSON document goes to stderr,
-/// so stdout stays machine-parseable.
-fn eprintln_or_println(json: bool, line: &str) {
-    if json {
-        eprintln!("{line}");
-    } else {
-        println!("{line}");
-    }
-}
-
-/// The machine-readable diagnostics document. Hand-rolled (the xtask
-/// crate deliberately has no serde dependency): an object with the
-/// violation list and, under `--fix-dry-run`, the fixable sites.
-fn render_json(violations: &[Violation], fixable: Option<&Vec<fix::FixCandidate>>) -> String {
-    let mut s = String::from("{\n  \"violations\": [");
-    for (i, v) in violations.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!(
-            "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}, \"snippet\": {}}}",
-            json_str(&v.file),
-            v.line,
-            json_str(v.rule),
-            json_str(&v.message),
-            json_str(&v.snippet),
-        ));
-    }
-    if violations.is_empty() {
-        s.push(']');
-    } else {
-        s.push_str("\n  ]");
-    }
-    if let Some(fixable) = fixable {
-        s.push_str(",\n  \"fixable\": [");
-        for (i, c) in fixable.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "\n    {{\"file\": {}, \"line\": {}, \"found\": {}, \"suggestion\": {}}}",
-                json_str(&c.file),
-                c.line,
-                json_str(&c.found),
-                json_str(&c.suggestion),
-            ));
-        }
-        if fixable.is_empty() {
-            s.push(']');
-        } else {
-            s.push_str("\n  ]");
-        }
-    }
-    s.push_str("\n}");
-    s
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The workspace root: two levels above this crate's manifest dir.
 fn repo_root() -> PathBuf {
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -252,62 +138,36 @@ fn repo_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Every first-party `.rs` file, as `(absolute path, crate name)`. Scans
-/// `crates/*/{src,tests,benches}` and the root package's `src/`;
-/// `vendor/` (third-party stubs), `target/`, and the lint fixture corpus
-/// (`crates/xtask/fixtures/`, deliberately full of violations) are out of
-/// scope. Deterministic order (sorted walk).
-fn collect_sources(root: &Path) -> Vec<(PathBuf, String)> {
+/// Every `.rs` file under `crates/*/{src,tests,benches}` as `(repo-relative
+/// path, contents)`, in sorted order. The root package, `vendor/` and
+/// `target/` are out of every residual check's scope.
+fn read_sources(root: &Path) -> Vec<(String, std::io::Result<String>)> {
     let mut out = Vec::new();
-    let crates_dir = root.join("crates");
-    for crate_dir in sorted_dirs(&crates_dir) {
-        let crate_name = crate_dir
-            .file_name()
-            .and_then(|n| n.to_str())
-            .expect("crate directory has a utf-8 name")
-            .to_string();
+    for crate_dir in sorted_dirs(&root.join("crates")) {
         for sub in ["src", "tests", "benches"] {
             walk_rs(&crate_dir.join(sub), &mut |path| {
-                out.push((path.to_path_buf(), crate_name.clone()));
+                out.push((rel(root, path), std::fs::read_to_string(path)));
             });
         }
     }
-    walk_rs(&root.join("src"), &mut |path| {
-        out.push((path.to_path_buf(), "rejecto".to_string()));
-    });
     out
 }
 
-/// Reads every source file once: `(rel path, crate, text)`.
-/// Unreadable files become synthetic entries whose "text" is empty; the
-/// lint runner reports them as `io` violations.
-fn read_sources(root: &Path) -> Vec<(String, String, String)> {
-    collect_sources(root)
-        .into_iter()
-        .map(|(path, crate_name)| {
-            let rel = rel(root, &path);
-            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| format!("\u{0}io error: {e}"));
-            (rel, crate_name, text)
-        })
-        .collect()
-}
-
-fn run_lints(sources: &[(String, String, String)]) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    for (rel_path, crate_name, text) in sources {
-        if let Some(err) = text.strip_prefix('\u{0}') {
-            violations.push(Violation {
+/// Runs the residual checks over every source; an unreadable file is an
+/// `io` violation.
+fn run_lints(sources: &[(String, std::io::Result<String>)]) -> Vec<Violation> {
+    sources
+        .iter()
+        .flat_map(|(rel_path, text)| match text {
+            Ok(text) => lint::lint_file(rel_path, text),
+            Err(e) => vec![Violation {
                 file: rel_path.clone(),
                 line: 0,
                 rule: "io",
-                message: format!("unreadable source file: {err}"),
-                snippet: String::new(),
-            });
-            continue;
-        }
-        violations.extend(lint::lint_file(&SourceFile { rel_path, crate_name, text }));
-    }
-    violations
+                message: format!("unreadable source file: {e}"),
+            }],
+        })
+        .collect()
 }
 
 fn rel(root: &Path, path: &Path) -> String {
@@ -349,34 +209,9 @@ fn walk_rs(dir: &Path, visit: &mut dyn FnMut(&Path)) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn json_escaping_handles_quotes_and_controls() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn json_document_shape() {
-        let v = vec![Violation {
-            file: "crates/x/src/a.rs".to_string(),
-            line: 3,
-            rule: "no-unwrap",
-            message: "msg with \"quotes\"".to_string(),
-            snippet: "let x = y.unwrap();".to_string(),
-        }];
-        let doc = render_json(&v, None);
-        assert!(doc.contains("\"violations\""));
-        assert!(doc.contains("\"rule\": \"no-unwrap\""));
-        assert!(doc.contains("\\\"quotes\\\""));
-        assert!(!doc.contains("\"fixable\""));
-        let with_fix = render_json(&[], Some(&vec![]));
-        assert!(with_fix.contains("\"violations\": []"));
-        assert!(with_fix.contains("\"fixable\": []"));
-    }
-
-    /// The whole-repo lint pass over the real working tree: this is the
-    /// same invariant CI enforces, kept here so `cargo test` fails fast
-    /// when a kernel change violates a rule.
+    /// The whole-repo pass over the real working tree: the same invariant
+    /// CI enforces, kept here so `cargo test` fails fast when a kernel
+    /// change breaks a residual check.
     #[test]
     fn working_tree_is_lint_clean() {
         let sources = read_sources(&repo_root());

@@ -742,11 +742,6 @@ pub fn run_to_string(command: &str, args: &[&str]) -> Result<String, CliError> {
     Ok(String::from_utf8(buf).expect("utf-8 output"))
 }
 
-#[allow(unused)]
-fn _path_exists(p: &Path) -> bool {
-    p.exists()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
