@@ -75,24 +75,36 @@ impl Default for ScenarioConfig {
 }
 
 impl ScenarioConfig {
-    fn validate(&self) {
-        assert!((0.0..=1.0).contains(&self.spammer_fraction), "spammer_fraction out of [0,1]");
-        assert!(
-            (0.0..=1.0).contains(&self.spam_rejection_rate),
-            "spam_rejection_rate out of [0,1]"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.legit_rejection_rate) && self.legit_rejection_rate < 1.0,
-            "legit_rejection_rate out of [0,1)"
-        );
-        assert!((0.0..=1.0).contains(&self.careless_fraction), "careless_fraction out of [0,1]");
-        if let Some(sr) = &self.self_rejection {
-            assert!(sr.whitewashed <= self.num_fakes, "whitewashed exceeds num_fakes");
-            assert!(
-                (0.0..=1.0).contains(&sr.rejection_rate),
-                "self-rejection rate out of [0,1]"
-            );
+    /// Checks that every rate lies in `[0, 1]` (the legitimate rejection
+    /// rate in `[0, 1)`; NaN is out of range) and that the whitewashed
+    /// slice fits in `num_fakes`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first bound the configuration violates.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let unit = |x: f64| (0.0..=1.0).contains(&x);
+        if !unit(self.spammer_fraction) {
+            return Err("spammer_fraction out of [0,1]");
         }
+        if !unit(self.spam_rejection_rate) {
+            return Err("spam_rejection_rate out of [0,1]");
+        }
+        if !(unit(self.legit_rejection_rate) && self.legit_rejection_rate < 1.0) {
+            return Err("legit_rejection_rate out of [0,1)");
+        }
+        if !unit(self.careless_fraction) {
+            return Err("careless_fraction out of [0,1]");
+        }
+        if let Some(sr) = &self.self_rejection {
+            if sr.whitewashed > self.num_fakes {
+                return Err("whitewashed exceeds num_fakes");
+            }
+            if !unit(sr.rejection_rate) {
+                return Err("self-rejection rate out of [0,1]");
+            }
+        }
+        Ok(())
     }
 }
 
@@ -151,10 +163,10 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid (rates outside `[0, 1]`,
-    /// whitewashed count exceeding `num_fakes`).
+    /// Panics if [`ScenarioConfig::validate`] rejects the configuration
+    /// (rates outside `[0, 1]`, whitewashed count exceeding `num_fakes`).
     pub fn new(config: ScenarioConfig) -> Self {
-        config.validate();
+        config.validate().expect("invalid ScenarioConfig");
         Scenario { config }
     }
 

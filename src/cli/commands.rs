@@ -130,17 +130,11 @@ fn parse_seed_list(raw: &str) -> Result<Vec<NodeId>, CliError> {
 fn simulate<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
     let stem = args.require("out")?;
     let scale: f64 = args.get_or("scale", 0.2)?;
-    let host = match args.get("edge-list") {
-        Some(path) => {
-            let (g, _) =
-                socialgraph::io::read_edge_list(open_file(&path)?).map_err(|e| e.in_file(&path))?;
-            g
-        }
-        None => {
-            let name = args.get("host").unwrap_or_else(|| "Facebook".to_string());
-            parse_surrogate(&name)?.generate_scaled(args.get_or("seed", 42u64)?, scale)
-        }
-    };
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(CliError(format!("--scale must be finite and positive, got {scale}")));
+    }
+    let edge_list = args.get("edge-list");
+    let host_name = args.get("host");
     let fakes: usize = args.get_or("fakes", ((10_000.0 * scale) as usize).max(1))?;
     // The Fig 14 whitewashing strategy: a sacrificed slice of the fakes
     // draws the rejections while the `--whitewashed` slice hides behind
@@ -164,7 +158,19 @@ fn simulate<W: Write>(mut args: Args, out: &mut W) -> Result<(), CliError> {
     };
     let seed: u64 = args.get_or("seed", 42)?;
     args.finish()?;
+    config.validate().map_err(|why| CliError(format!("invalid scenario: {why}")))?;
 
+    let host = match edge_list {
+        Some(path) => {
+            let (g, _) =
+                socialgraph::io::read_edge_list(open_file(&path)?).map_err(|e| e.in_file(&path))?;
+            g
+        }
+        None => {
+            let name = host_name.unwrap_or_else(|| "Facebook".to_string());
+            parse_surrogate(&name)?.generate_scaled(seed, scale)
+        }
+    };
     let sim = Scenario::new(config).run(&host, seed);
 
     // Each output is rendered in memory and lands via the atomic write
@@ -750,6 +756,35 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("rejecto-cli-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Out-of-range flags are typed errors (exit 1) caught before the
+    /// generator runs: `--scale inf` would otherwise saturate the node
+    /// count to `usize::MAX`, and the rest used to trip asserts.
+    #[test]
+    fn simulate_rejects_out_of_range_flags_before_generating() {
+        let stem = tmpdir().join("out-of-range");
+        let stem_s = stem.to_str().unwrap();
+        for bad in [
+            &["--scale", "-1"][..],
+            &["--scale", "0"],
+            &["--scale", "NaN"],
+            &["--scale", "inf"],
+            &["--spam-rejection", "2.0"],
+            &["--spam-rejection", "NaN"],
+            &["--legit-rejection", "-1"],
+            &["--spammer-fraction", "5"],
+            &["--fakes", "10", "--whitewashed", "11"],
+        ] {
+            let argv: Vec<&str> = ["--out", stem_s].iter().chain(bad).copied().collect();
+            let err = run_to_string("simulate", &argv).unwrap_err();
+            let flag = bad[bad.len() - 2].trim_start_matches("--").replace('-', "_");
+            assert!(
+                err.0.contains(&flag) || err.0.contains(bad[bad.len() - 2]),
+                "{bad:?}: error must name the flag: {err}"
+            );
+            assert!(!Path::new(&format!("{stem_s}.rjg")).exists(), "{bad:?} wrote output");
+        }
     }
 
     #[test]
