@@ -351,6 +351,9 @@ mod tests {
         assert!(!b.contains(0));
     }
 
+    /// The double-insert guard is a `debug_assert!`, so the contract
+    /// exists only in builds with debug assertions.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "already in bucket list")]
     fn double_insert_panics() {
